@@ -1,19 +1,20 @@
 """Parameter and FLOP accounting for the preset family.
 
-Counts are exact sums over the architecture (1 MAC = 1 FLOP; matmuls,
-windowed mixing, and stems; elementwise excluded) and are checked against
-the reference budgets the presets are sized to, at +/-10%.
+Counts are exact closed forms of the architecture config (1 MAC = 1 FLOP;
+matmuls, windowed mixing, and stems; elementwise excluded), so no model is
+built, and are checked against the reference budgets the presets are sized
+to, at +/-10%.
 
 Run: python demos/04_accounting.py
 """
 
-from wavemlp.model import REFERENCE_BUDGETS, build, count_flops, count_params, preset
+from wavemlp.model import REFERENCE_BUDGETS, count_flops, count_params, preset
 
 print(f"{'preset':>7} {'params':>12} {'ref':>7} {'dev':>7}   {'flops@224':>13} {'ref':>7} {'dev':>7}")
 for name in ["T*", "T", "S", "M", "B"]:
-    m = build(preset(name), seed=0)
-    n_params = count_params(m)
-    n_flops = count_flops(m, 224, 224)
+    cfg = preset(name)
+    n_params = count_params(cfg)
+    n_flops = count_flops(cfg, 224, 224)
     ref_p, ref_f = REFERENCE_BUDGETS[name]
     print(
         f"{name:>7} {n_params:>12,} {ref_p/1e6:>6.0f}M {100*(n_params-ref_p)/ref_p:>+6.1f}% "
@@ -21,8 +22,8 @@ for name in ["T*", "T", "S", "M", "B"]:
     )
 
 print()
-m = build(preset("tiny"), seed=0)
-print("tiny config:", count_params(m), "params;",
-      count_flops(m, 8, 8), "MACs at 8x8;",
-      count_flops(m, 16, 16), "MACs at 16x16")
+cfg = preset("tiny")
+print("tiny config:", count_params(cfg), "params;",
+      count_flops(cfg, 8, 8), "MACs at 8x8;",
+      count_flops(cfg, 16, 16), "MACs at 16x16")
 print("FLOPs scale with token count; parameters do not move with resolution.")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .patm import PatmParams, PhaseMode, channel_fc, init_patm, patm_forward
+from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_forward
 from .tensor import (
     Tensor,
     add,
@@ -151,11 +151,6 @@ def patch_embed(x: Tensor, s: StemParams) -> Tensor:
     tiles = transpose(tiles, (0, 1, 3, 2, 4, 5))
     flat = reshape(tiles, (b, hp, wp, p * p * c))
     return channel_fc(flat, s.weight)
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
 def _norm_params(d: int, dtype) -> NormParams:

@@ -4,14 +4,15 @@ Resolution drops by the stage patch sizes (4, 2, 2, 2 by default) while the
 channel count grows. ``count_params`` counts scalar learnables exactly;
 ``count_flops`` counts multiply-accumulates (1 MAC = 1 FLOP) over matmuls,
 windowed token mixing, and stems -- elementwise work (norms, activations,
-cos/sin modulation, residuals, pooling) is excluded by convention.
+cos/sin modulation, residuals, pooling) is excluded by convention. Both are
+closed forms of the ``ArchConfig``: counting builds no model.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .blocks import (
     BlockParams,
     NormParams,
     StemParams,
+    _norm_params,
     block_forward,
     init_block,
     init_stem,
@@ -26,7 +28,7 @@ from .blocks import (
     patch_embed,
 )
 from .errors import ConfigurationError, DimensionError, NumericError
-from .patm import DEPTHWISE_KERNEL, PhaseMode
+from .patm import DEPTHWISE_KERNEL, PatmParams, PhaseMode, _uniform
 from .tensor import Tensor, add, matmul, reduce_mean, transpose
 
 __all__ = [
@@ -40,6 +42,8 @@ __all__ = [
     "arch_config_to_dict",
     "build",
     "iter_params",
+    "iter_block",
+    "iter_patm",
     "forward",
     "count_params",
     "count_flops",
@@ -75,33 +79,54 @@ class ArchConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        self.phase_mode = PhaseMode(self.phase_mode)
-        self.stages = [s if isinstance(s, StageSpec) else StageSpec(**s) for s in self.stages]
-        if len(self.stages) != 4:
-            raise ConfigurationError(f"expected 4 stages, got {len(self.stages)}")
+        try:
+            self.phase_mode = PhaseMode(self.phase_mode)
+        except (ValueError, TypeError):
+            raise ConfigurationError(f"unknown phase mode {self.phase_mode!r}") from None
+        if not isinstance(self.stages, (list, tuple)) or len(self.stages) != 4:
+            raise ConfigurationError(f"expected a list of 4 stages, got {self.stages!r}")
+        self.stages = [_stage_spec(s) for s in self.stages]
         dims = [s.dim for s in self.stages]
         if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
             raise ConfigurationError(f"stage dims must strictly increase, got {dims}")
-        if any(s.depth < 1 for s in self.stages):
-            raise ConfigurationError("stage depths must be >= 1")
-        if any(s.expansion < 1 for s in self.stages):
-            raise ConfigurationError("stage expansions must be >= 1")
-        if len(self.patch_sizes) != 4 or any(p < 1 for p in self.patch_sizes):
-            raise ConfigurationError(f"bad patch sizes {self.patch_sizes}")
-        if isinstance(self.window, str):
-            if self.window != "all":
-                raise ConfigurationError(f"window must be an odd int or 'all', got {self.window!r}")
-        elif self.window < 1 or self.window % 2 == 0:
-            raise ConfigurationError(f"window must be odd and positive, got {self.window}")
-        if self.num_classes < 2:
-            raise ConfigurationError("need at least 2 classes")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
+        self.patch_sizes = _ints("patch_sizes", self.patch_sizes, 1, 4)
+        _ints("num_classes", self.num_classes, 2)
+        _ints("input_channels", self.input_channels, 1)
+        if self.input_size is not None:
+            self.input_size = _ints("input_size", self.input_size, 1, 2)
+        if self.window != "all" and _ints("window", self.window, 1) % 2 == 0:
+            raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
+        real = isinstance(self.dropout, (int, float)) and not isinstance(self.dropout, bool)
+        if not (real and 0.0 <= self.dropout < 1.0):
+            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout!r}")
         needs_size = self.window == "all" or self.phase_mode is PhaseMode.STATIC
         if needs_size and self.input_size is None:
             raise ConfigurationError(
                 "window='all' and static phase require input_size to fix parameter shapes"
             )
+
+
+def _ints(name: str, value, lo: int, n: int = 0):
+    """``value`` (a list or tuple of ``n`` of them when n > 0) checked to be
+    ints >= lo, else ConfigurationError; a bool is not an int."""
+    values = value if n else [value]
+    ok = isinstance(values, (list, tuple)) and len(values) == max(n, 1)
+    if not ok or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        raise ConfigurationError(f"{name} must be {f'{n} ints' if n else 'an int'}, got {value!r}")
+    if any(v < lo for v in values):
+        raise ConfigurationError(f"{name} must be >= {lo}, got {value!r}")
+    return tuple(values) if n else value
+
+
+def _stage_spec(s) -> StageSpec:
+    if isinstance(s, dict):
+        if set(s) != {"dim", "depth", "expansion"}:
+            raise ConfigurationError(f"a stage has the keys dim, depth, expansion; got {list(s)}")
+        s = StageSpec(**s)
+    if not isinstance(s, StageSpec):
+        raise ConfigurationError(f"a stage is a dict or StageSpec, got {s!r}")
+    _ints("stage dim, depth, expansion", [s.dim, s.depth, s.expansion], 1, 3)
+    return s
 
 
 def _stages(dims, depths, expansions):
@@ -157,57 +182,38 @@ def preset(name: str, **overrides) -> ArchConfig:
     return ArchConfig(**spec)
 
 
-_JSON_KEYS = {
-    "stages",
-    "window",
-    "phase_mode",
-    "patch_sizes",
-    "num_classes",
-    "input_channels",
-    "input_size",
-    "dropout",
-}
-
-
 def load_arch_config(source) -> ArchConfig:
     """Build an ArchConfig from a JSON file path, JSON text, or a dict.
 
     Schema: {"stages": [{"dim": int, "depth": int, "expansion": int} x4],
     "window": int | "all", "phase_mode": "none" | "static" | "channel_fc" |
     "depthwise" | "identity", "patch_sizes": [int x4], "num_classes": int,
-    optional "input_channels", "input_size": [h, w], "dropout"}.
+    optional "input_channels", "input_size": [h, w], "dropout"}. Any
+    unreadable or malformed source raises ConfigurationError.
     """
     if isinstance(source, dict):
         doc = source
     else:
         text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text) as fh:
-                doc = json.load(fh)
-    unknown = set(doc) - _JSON_KEYS
+        try:
+            if text.lstrip().startswith("{"):
+                doc = json.loads(text)
+            else:
+                with open(text) as fh:
+                    doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot load config: {exc}") from None
+    if not isinstance(doc, dict) or "stages" not in doc:
+        raise ConfigurationError("a config is a JSON object with a 'stages' list")
+    unknown = set(doc) - {f.name for f in fields(ArchConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "patch_sizes" in kwargs:
-        kwargs["patch_sizes"] = tuple(kwargs["patch_sizes"])
-    if kwargs.get("input_size") is not None:
-        kwargs["input_size"] = tuple(kwargs["input_size"])
-    return ArchConfig(**kwargs)
+    return ArchConfig(**doc)
 
 
 def arch_config_to_dict(cfg: ArchConfig) -> dict:
-    return {
-        "stages": [dict(dim=s.dim, depth=s.depth, expansion=s.expansion) for s in cfg.stages],
-        "window": cfg.window,
-        "phase_mode": cfg.phase_mode.value,
-        "patch_sizes": list(cfg.patch_sizes),
-        "num_classes": cfg.num_classes,
-        "input_channels": cfg.input_channels,
-        "input_size": list(cfg.input_size) if cfg.input_size else None,
-        "dropout": cfg.dropout,
-    }
+    """The JSON-ready document ``load_arch_config`` reads back to ``cfg``."""
+    return {**asdict(cfg), "phase_mode": cfg.phase_mode.value}
 
 
 def stage_resolutions(cfg: ArchConfig, h: int, w: int) -> list[tuple[int, int]]:
@@ -224,6 +230,13 @@ def _stage_windows(cfg: ArchConfig) -> list[int]:
         return [int(cfg.window)] * 4
     res = stage_resolutions(cfg, *cfg.input_size)
     return [2 * max(hh, ww) - 1 for hh, ww in res]
+
+
+def _static_sizes(cfg: ArchConfig) -> list:
+    """Per-stage phase-grid size for the STATIC mode, else None per stage."""
+    if cfg.phase_mode is PhaseMode.STATIC:
+        return stage_resolutions(cfg, *cfg.input_size)
+    return [None] * 4
 
 
 @dataclass
@@ -243,11 +256,7 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     """Deterministic initialization: one seed, one fixed draw order."""
     rng = np.random.default_rng(seed)
     windows = _stage_windows(cfg)
-    static_res = (
-        stage_resolutions(cfg, *cfg.input_size)
-        if cfg.phase_mode is PhaseMode.STATIC
-        else [None] * 4
-    )
+    static_res = _static_sizes(cfg)
     stems: list[StemParams] = []
     stages: list[list[BlockParams]] = []
     c_in = cfg.input_channels
@@ -259,24 +268,28 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
         ]
         stages.append(blocks)
         c_in = spec.dim
-    d4 = cfg.stages[-1].dim
-    final_norm = NormParams(
-        Tensor(np.ones(d4, dtype=dtype), requires_grad=True),
-        Tensor(np.zeros(d4, dtype=dtype), requires_grad=True),
-    )
-    bound = 1.0 / math.sqrt(d4)
-    head = Tensor(
-        rng.uniform(-bound, bound, size=(cfg.num_classes, d4)).astype(dtype), requires_grad=True
-    )
+    final_norm = _norm_params(c_in, dtype)
+    head = _uniform(rng, (cfg.num_classes, c_in), c_in, dtype)
     head_bias = Tensor(np.zeros(cfg.num_classes, dtype=dtype), requires_grad=True)
     return ModelParams(cfg, windows, stems, stages, final_norm, head, head_bias)
 
 
-def _patm_named(prefix: str, p) -> list[tuple[str, Tensor]]:
+def iter_patm(p: PatmParams, prefix: str = "patm") -> list[tuple[str, Tensor]]:
+    """(name, tensor) pairs of one mixing module, in the order ``iter_params`` uses."""
     out = [(f"{prefix}.wc", p.wc)]
     if p.wtheta is not None:
         out.append((f"{prefix}.wtheta", p.wtheta))
     out += [(f"{prefix}.wt", p.wt), (f"{prefix}.wi", p.wi), (f"{prefix}.wout", p.wout)]
+    return out
+
+
+def iter_block(b: BlockParams, prefix: str = "block") -> list[tuple[str, Tensor]]:
+    """(name, tensor) pairs of one block, in the order ``iter_params`` uses."""
+    out = [(f"{prefix}.norm1.scale", b.norm1.scale), (f"{prefix}.norm1.shift", b.norm1.shift)]
+    out += iter_patm(b.patm_h, f"{prefix}.patm_h") + iter_patm(b.patm_w, f"{prefix}.patm_w")
+    out.append((f"{prefix}.branch_fc", b.branch_fc))
+    out += [(f"{prefix}.norm2.scale", b.norm2.scale), (f"{prefix}.norm2.shift", b.norm2.shift)]
+    out += [(f"{prefix}.mlp_fc1", b.mlp_fc1), (f"{prefix}.mlp_fc2", b.mlp_fc2)]
     return out
 
 
@@ -286,13 +299,7 @@ def iter_params(m: ModelParams) -> list[tuple[str, Tensor]]:
     for i, (stem, blocks) in enumerate(zip(m.stems, m.stages)):
         out.append((f"stem{i}.weight", stem.weight))
         for j, b in enumerate(blocks):
-            pre = f"stage{i}.block{j}"
-            out += [(f"{pre}.norm1.scale", b.norm1.scale), (f"{pre}.norm1.shift", b.norm1.shift)]
-            out += _patm_named(f"{pre}.patm_h", b.patm_h)
-            out += _patm_named(f"{pre}.patm_w", b.patm_w)
-            out.append((f"{pre}.branch_fc", b.branch_fc))
-            out += [(f"{pre}.norm2.scale", b.norm2.scale), (f"{pre}.norm2.shift", b.norm2.shift)]
-            out += [(f"{pre}.mlp_fc1", b.mlp_fc1), (f"{pre}.mlp_fc2", b.mlp_fc2)]
+            out += iter_block(b, f"stage{i}.block{j}")
     out += [("final_norm.scale", m.final_norm.scale), ("final_norm.shift", m.final_norm.shift)]
     out += [("head.weight", m.head), ("head.bias", m.head_bias)]
     return out
@@ -334,36 +341,48 @@ def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> T
     return logits
 
 
-def count_params(m: ModelParams) -> int:
-    """Exact number of scalar learnables."""
-    return sum(t.size for _, t in iter_params(m))
+def _tally(cfg: ArchConfig, h: int, w: int) -> tuple[int, int]:
+    """(scalar learnables, MACs for one h x w image), from the config alone.
+
+    Every projection weight (stem, channel-FCs, MLP, head), mixing window
+    (wt, wi) and depthwise phase kernel holds one MAC per entry per token of
+    its stage: at n tokens it costs n times its size. Norm scales and shifts,
+    static phase grids and the head bias are parameters without MACs.
+    """
+    params = macs = 0
+    c_in = cfg.input_channels
+    stages = zip(cfg.stages, cfg.patch_sizes, _stage_windows(cfg), _static_sizes(cfg))
+    for spec, p, window, static in stages:
+        h, w = math.ceil(h / p), math.ceil(w / p)
+        d = spec.dim
+        theta = {PhaseMode.CHANNEL_FC: d * d, PhaseMode.DEPTHWISE: DEPTHWISE_KERNEL * d}
+        per_patm = 2 * d * d + 2 * window * d + theta.get(cfg.phase_mode, 0)  # wc, wout, wt, wi
+        weights = 2 * per_patm + d * d + 2 * spec.expansion * d * d  # two axes, branch, MLP
+        grids = 2 * static[0] * static[1] * d if static else 0
+        stem = p * p * c_in * d
+        params += stem + spec.depth * (weights + grids + 4 * d)  # + two norms per block
+        macs += h * w * (stem + spec.depth * weights)
+        c_in = d
+    params += 2 * c_in + cfg.num_classes * (c_in + 1)  # final norm, head and bias
+    macs += cfg.num_classes * c_in
+    return params, macs
 
 
-def count_flops(m: ModelParams, h: int, w: int) -> int:
+def _config(m) -> ArchConfig:
+    return m.config if isinstance(m, ModelParams) else m
+
+
+def count_params(m: ArchConfig | ModelParams) -> int:
+    """Exact number of scalar learnables of a config (or a built model's)."""
+    return _tally(_config(m), 1, 1)[0]
+
+
+def count_flops(m: ArchConfig | ModelParams, h: int, w: int) -> int:
     """Multiply-accumulate count for one image at h x w (1 MAC = 1 FLOP).
 
     Counts matmuls (channel-FCs, the head), windowed token mixing
     (2*window MACs per token element, boundary zeros included), the
     depthwise phase convolution, and stem projections. Elementwise work is
-    excluded.
+    excluded. Takes a config or a built model, whose config it counts.
     """
-    cfg = m.config
-    total = 0
-    c_in = cfg.input_channels
-    for i, spec in enumerate(cfg.stages):
-        p = cfg.patch_sizes[i]
-        h, w = math.ceil(h / p), math.ceil(w / p)
-        n = h * w
-        d = spec.dim
-        total += n * (p * p * c_in) * d  # stem projection
-        per_patm = 2 * n * d * d + 2 * m.windows[i] * n * d  # wc, wout, mixing
-        if cfg.phase_mode is PhaseMode.CHANNEL_FC:
-            per_patm += n * d * d
-        elif cfg.phase_mode is PhaseMode.DEPTHWISE:
-            per_patm += DEPTHWISE_KERNEL * n * d
-        per_block = 2 * per_patm + n * d * d  # both axes + direct branch
-        per_block += 2 * n * d * (spec.expansion * d)  # channel MLP
-        total += spec.depth * per_block
-        c_in = d
-    total += cfg.stages[-1].dim * cfg.num_classes  # head
-    return total
+    return _tally(_config(m), h, w)[1]

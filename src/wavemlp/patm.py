@@ -43,7 +43,6 @@ __all__ = [
     "aggregate_tokens",
     "patm_forward",
     "init_patm",
-    "patm_param_count",
     "DEPTHWISE_KERNEL",
 ]
 
@@ -247,11 +246,3 @@ def init_patm(
     wi = _uniform(rng, (window, d), window, dtype)
     wout = _uniform(rng, (d, d), d, dtype)
     return PatmParams(wc, wtheta, wt, wi, wout, axis, window, phase_mode)
-
-
-def patm_param_count(p: PatmParams) -> int:
-    """Number of scalar learnables; independent of the input's spatial size."""
-    total = p.wc.size + p.wt.size + p.wi.size + p.wout.size
-    if p.wtheta is not None:
-        total += p.wtheta.size
-    return total

@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .blocks import normalize, patch_embed
+from .blocks import block_forward, normalize, patch_embed
 from .errors import ConfigurationError, UnsupportedModeError
 from .model import ModelParams
 from .patm import estimate_phase
@@ -43,8 +43,6 @@ def phase_grid(m: ModelParams, image: np.ndarray, stage: int) -> np.ndarray:
             f"phase mode {m.config.phase_mode.value!r} has no input-dependent phases to map"
         )
     x = Tensor(np.asarray(image, dtype=m.head.dtype)[None])
-    from .blocks import block_forward  # local import to avoid a cycle at module load
-
     for i in range(stage - 1):
         x = patch_embed(x, m.stems[i])
         for b in m.stages[i]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .blocks import (
     patch_embed,
     token_mixing_forward,
 )
-from .patm import PatmParams, PhaseMode, aggregate_tokens, init_patm, patm_forward
+from .patm import PhaseMode, aggregate_tokens, init_patm, patm_forward
 from .synth import SynthTask
 from .tensor import Tensor, grad_check, matmul, mul, reduce_mean, transpose
 from .train import TrainConfig, train
 
-__all__ = ["CheckResult", "load_pilot", "run_selftest"]
+__all__ = ["CheckResult", "check_config_model", "load_pilot", "run_selftest"]
 
 
 @dataclass
@@ -115,13 +115,6 @@ def check_classical_limit(configs: int = 100, seed: int = 0, tol: float = 1e-12)
     return CheckResult("classical_limit", worst < tol, f"configs={configs} err={worst:.2e}")
 
 
-def _patm_tensors(p: PatmParams) -> list[Tensor]:
-    out = [p.wc, p.wt, p.wi, p.wout]
-    if p.wtheta is not None:
-        out.append(p.wtheta)
-    return out
-
-
 def _mean_square(t: Tensor) -> Tensor:
     return reduce_mean(mul(t, t))
 
@@ -153,7 +146,8 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     for mode in PhaseMode:
         p = init_patm(2, 3, "width", mode, np.random.default_rng(seed + 2), static_size=(3, 4))
         xp = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
-        run(f"patm_{mode.value}", lambda ts: _mean_square(patm_forward(xp, p)), [xp] + _patm_tensors(p))
+        patm_ts = [xp] + [t for _, t in M.iter_patm(p)]
+        run(f"patm_{mode.value}", lambda ts: _mean_square(patm_forward(xp, p)), patm_ts)
 
     amp = Tensor(rng.normal(size=(1, 5, 2, 2)), requires_grad=True)
     theta = Tensor(rng.uniform(-3, 3, size=(1, 5, 2, 2)), requires_grad=True)
@@ -176,10 +170,7 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
 
 
 def _block_tensors(b) -> list[Tensor]:
-    out = [b.norm1.scale, b.norm1.shift]
-    out += _patm_tensors(b.patm_h) + _patm_tensors(b.patm_w)
-    out += [b.branch_fc, b.norm2.scale, b.norm2.shift, b.mlp_fc1, b.mlp_fc2]
-    return out
+    return [t for _, t in M.iter_block(b)]
 
 
 def _two_block_model(seed: int):
@@ -203,22 +194,29 @@ def _two_block_model(seed: int):
     return tensors, loss_fn
 
 
+def check_config_model(cfg: M.ArchConfig, seed: int = 0, tol: float = 1e-4) -> CheckResult:
+    """Finite differences through a whole model built from ``cfg``.
+
+    The input is one image at ``cfg.input_size``, or 8x8 when the config
+    leaves the size free; the loss is the mean square of the logits.
+    """
+    m = M.build(cfg, seed=seed)
+    h, w = cfg.input_size or (8, 8)
+    x = Tensor(np.random.default_rng(seed).normal(size=(1, h, w, cfg.input_channels)))
+    tensors = [x] + [t for _, t in M.iter_params(m)]
+    rep = grad_check(lambda ts: _mean_square(M.forward(m, x)), tensors, tol=tol)
+    return CheckResult("grad_config_model", rep.passed, f"max_rel_err={rep.max_rel_err:.3e}")
+
+
 def check_reference_budgets(rel_tol: float = 0.10) -> list[CheckResult]:
     """Preset parameter/FLOP counts vs the reference budgets at 224x224."""
     results = []
     for name, (ref_p, ref_f) in M.REFERENCE_BUDGETS.items():
-        m = M.build(M.preset(name), seed=0)
-        n_params = M.count_params(m)
-        n_flops = M.count_flops(m, 224, 224)
-        ok_p = abs(n_params - ref_p) <= rel_tol * ref_p
-        ok_f = abs(n_flops - ref_f) <= rel_tol * ref_f
-        results.append(
-            CheckResult(
-                f"budget_{name}",
-                ok_p and ok_f,
-                f"params={n_params} ref={ref_p:.0f} flops={n_flops} ref={ref_f:.0f}",
-            )
-        )
+        cfg = M.preset(name)
+        n_params, n_flops = M.count_params(cfg), M.count_flops(cfg, 224, 224)
+        ok = abs(n_params - ref_p) <= rel_tol * ref_p and abs(n_flops - ref_f) <= rel_tol * ref_f
+        detail = f"params={n_params} ref={ref_p:.0f} flops={n_flops} ref={ref_f:.0f}"
+        results.append(CheckResult(f"budget_{name}", ok, detail))
     return results
 
 
@@ -235,7 +233,7 @@ def check_variable_resolution(h: int = 64, w: int = 96, seed: int = 0) -> list[C
             ok = (
                 logits.shape == (2, m.config.num_classes)
                 and bool(np.isfinite(logits.data).all())
-                and M.count_params(m) == n_params
+                and sum(t.size for _, t in M.iter_params(m)) == n_params
             )
             detail = f"logits={tuple(logits.shape)} params={n_params}"
         except Exception as exc:  # a failure here is the finding itself
@@ -258,9 +256,7 @@ def check_training(full: bool = False) -> list[CheckResult]:
     """Short determinism run always; the committed pilot when ``full``."""
     task, tc = pilot_task_config()
     results = []
-    short = TrainConfig(
-        epochs=2, batch_size=tc.batch_size, lr=tc.lr, weight_decay=tc.weight_decay, seed=tc.seed
-    )
+    short = replace(tc, epochs=2)
     _m1, h1 = train(M.preset("tiny"), task, short)
     _m2, h2 = train(M.preset("tiny"), task, short)
     same = h1.loss == h2.loss and h1.val_acc == h2.val_acc

@@ -142,7 +142,9 @@ class Tape:
     reverse, accumulates gradients keyed by tensor uid, and finally assigns
     ``.grad`` exactly once on every requires_grad leaf that appeared on the
     tape. Leaves that do not influence the loss receive a zero gradient.
-    ``.grad`` is overwritten, never accumulated, across backward calls.
+    ``.grad`` is overwritten, never accumulated, across backward calls. Each
+    ``.grad`` is a writeable array that shares no memory with any other
+    leaf's, so it may be modified in place.
 
     Backward closures hold references to input arrays, not copies: call
     ``backward`` before mutating any participating ``.data`` in place (the
@@ -186,15 +188,21 @@ class Tape:
                 have = grads.get(inp.uid)
                 grads[inp.uid] = gin if have is None else have + gin
         # Only leaves (never an op output) remain keyed; assign once each.
+        # A backward rule may hand one array, or a read-only broadcast view,
+        # to several inputs: copy exactly those, so that every .grad is owned.
         assigned: set[int] = set()
-        for inputs, _out, _ in self._records:
-            for t in inputs:
-                if t.requires_grad and t.uid not in produced and t.uid not in assigned:
-                    g = grads.get(t.uid)
-                    t.grad = np.zeros_like(t.data) if g is None else g
-                    assigned.add(t.uid)
-        if loss.requires_grad and loss.uid not in produced and loss.uid not in assigned:
-            loss.grad = grads[loss.uid]
+        owners: set[int] = set()  # ids of the buffers already handed to a leaf
+        for t in [t for inputs, _, _ in self._records for t in inputs] + [loss]:
+            if not t.requires_grad or t.uid in produced or t.uid in assigned:
+                continue
+            g = grads.pop(t.uid, None)
+            if g is None:
+                g = np.zeros_like(t.data)
+            elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
+                g = g.copy()
+            owners.add(id(g if g.base is None else g.base))
+            assigned.add(t.uid)
+            t.grad = g
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -222,13 +230,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _broadcast_check(a: Tensor, b: Tensor, opname: str) -> None:
+def _operands(a, b, opname: str) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors (a bare number takes the other's dtype) that broadcast."""
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionError(
             f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} do not broadcast"
         ) from None
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +248,7 @@ def _broadcast_check(a: Tensor, b: Tensor, opname: str) -> None:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _broadcast_check(a, b, "add")
+    a, b = _operands(a, b, "add")
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -249,9 +259,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _broadcast_check(a, b, "sub")
+    a, b = _operands(a, b, "sub")
     out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -262,9 +270,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _broadcast_check(a, b, "mul")
+    a, b = _operands(a, b, "mul")
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -275,9 +281,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    _broadcast_check(a, b, "div")
+    a, b = _operands(a, b, "div")
     out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -291,9 +295,7 @@ def div(a, b) -> Tensor:
 
 def atan2(y, x) -> Tensor:
     """Angle of the point (x, y); gradient defined as (0, 0) at the origin."""
-    y = _as_tensor(y, like=x if isinstance(x, Tensor) else None)
-    x = _as_tensor(x, like=y)
-    _broadcast_check(y, x, "atan2")
+    y, x = _operands(y, x, "atan2")
     out = Tensor(np.arctan2(y.data, x.data), y.requires_grad or x.requires_grad)
 
     def backward(g):
@@ -580,16 +582,14 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     for t in xs:
         t.requires_grad = True
 
-    def evaluate() -> float:
+    def evaluate() -> Tensor:
         y = f(xs[0]) if single else f(xs)
         if not isinstance(y, Tensor) or y.size != 1:
             raise ContractError("grad_check: f must return a scalar Tensor")
-        return float(y.data)
+        return y
 
     with Tape() as tape:
-        y = f(xs[0]) if single else f(xs)
-    if not isinstance(y, Tensor) or y.size != 1:
-        raise ContractError("grad_check: f must return a scalar Tensor")
+        y = evaluate()
     tape.backward(y)
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in xs]
 
@@ -599,9 +599,9 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
         for idx in np.ndindex(*t.data.shape):
             orig = t.data[idx]
             t.data[idx] = orig + step
-            fp = evaluate()
+            fp = float(evaluate().data)
             t.data[idx] = orig - step
-            fm = evaluate()
+            fm = float(evaluate().data)
             t.data[idx] = orig
             numeric = (fp - fm) / (2.0 * step)
             err = abs(float(ga[idx]) - numeric) / max(1.0, abs(numeric))

@@ -31,6 +31,7 @@ __all__ = [
     "accuracy",
     "train",
     "ablate",
+    "ablation_workers",
     "ABLATION_AXES",
 ]
 
@@ -258,6 +259,20 @@ def _cell_config(base: ArchConfig, axis: str, value) -> ArchConfig:
     return replace(base, window=value)
 
 
+def ablation_workers(raw: str | None, cells: int) -> int:
+    """Worker processes from a WAVEMLP_THREADS value (None means 1), clamped to
+    the cell count and os.cpu_count(); ConfigurationError unless an int >= 1."""
+    if raw is None:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigurationError(f"WAVEMLP_THREADS must be an integer >= 1, got {raw!r}")
+    return min(n, cells, os.cpu_count() or 1)
+
+
 def _run_cell(args) -> tuple[str, int, float]:
     setting, seed, cfg, task, tc = args
     _model, history = train(cfg, task, replace(tc, seed=seed))
@@ -277,7 +292,9 @@ def ablate(
     ChannelFC), estimator forms (Identity / DepthWise / ChannelFC), and
     window sizes (3 / 5 / 7 / All). Values are recorded for inspection, not
     asserted against anything. Cells run in parallel processes when the
-    WAVEMLP_THREADS environment variable is set above 1.
+    WAVEMLP_THREADS environment variable is set above 1 (see
+    ``ablation_workers``). Rows count parameters and MACs from each cell's
+    config; no model is built for them.
     """
     if axis not in ABLATION_AXES:
         raise ConfigurationError(f"unknown ablation axis {axis!r}; choose from {sorted(ABLATION_AXES)}")
@@ -287,12 +304,9 @@ def ablate(
         from .model import preset
 
         base = preset("tiny", num_classes=task.num_classes, input_size=task.grid[:2])
-    jobs = []
-    for setting, value in ABLATION_AXES[axis]:
-        cfg = _cell_config(base, axis, value)
-        for seed in seeds:
-            jobs.append((setting, seed, cfg, task, tc))
-    workers = int(os.environ.get("WAVEMLP_THREADS", "1"))
+    settings = [(setting, _cell_config(base, axis, value)) for setting, value in ABLATION_AXES[axis]]
+    jobs = [(setting, seed, cfg, task, tc) for setting, cfg in settings for seed in seeds]
+    workers = ablation_workers(os.environ.get("WAVEMLP_THREADS"), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs))
@@ -301,12 +315,13 @@ def ablate(
     by_setting: dict[str, dict[int, float]] = {}
     for setting, seed, acc in results:
         by_setting.setdefault(setting, {})[seed] = acc
-    rows = []
-    for setting, value in ABLATION_AXES[axis]:
-        cfg = _cell_config(base, axis, value)
-        model = build(cfg, seed=seeds[0])
-        accs = tuple(by_setting[setting][s] for s in seeds)
-        rows.append(
-            AblationRow(setting, count_params(model), count_flops(model, *task.grid[:2]), accs)
+    rows = [
+        AblationRow(
+            setting,
+            count_params(cfg),
+            count_flops(cfg, *task.grid[:2]),
+            tuple(by_setting[setting][s] for s in seeds),
         )
+        for setting, cfg in settings
+    ]
     return AblationTable(axis, rows)

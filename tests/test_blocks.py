@@ -15,6 +15,7 @@ from wavemlp.blocks import (
     token_mixing_forward,
 )
 from wavemlp.errors import DimensionError
+from wavemlp.model import iter_block
 from wavemlp.patm import PhaseMode
 from wavemlp.tensor import Tensor, grad_check, mul, reduce_mean
 
@@ -24,11 +25,7 @@ def _rng(seed=0):
 
 
 def _block_tensors(b: BlockParams):
-    out = [b.norm1.scale, b.norm1.shift]
-    for p in (b.patm_h, b.patm_w):
-        out += [p.wc, p.wt, p.wi, p.wout] + ([p.wtheta] if p.wtheta is not None else [])
-    out += [b.branch_fc, b.norm2.scale, b.norm2.shift, b.mlp_fc1, b.mlp_fc2]
-    return out
+    return [t for _, t in iter_block(b)]
 
 
 def _zero_weights(b: BlockParams):

@@ -69,6 +69,49 @@ def test_count_with_config_file(tmp_path, capsys):
     assert int(out["flops"]) == 32928
 
 
+_TINY_STAGES = [{"dim": d, "depth": 1, "expansion": 2} for d in (8, 16, 24, 32)]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"stages": 5}',
+        json.dumps({"stages": [{**_TINY_STAGES[0], "width": 3}] + _TINY_STAGES[1:]}),
+        None,  # no such file
+        '{"stages": [',
+        json.dumps({"stages": _TINY_STAGES, "window": True}),
+        json.dumps({"stages": _TINY_STAGES, "window": 3.0}),
+    ],
+    ids=["stages-not-a-list", "unknown-stage-key", "missing-file", "malformed-json", "bool-window", "float-window"],
+)
+def test_count_malformed_config_is_a_typed_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["count", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error=ConfigurationError")
+    assert "Traceback" not in err
+
+
+def test_check_grads_config_with_static_phase(tmp_path, capsys):
+    doc = {
+        "stages": [{"dim": d, "depth": 1, "expansion": 1} for d in (1, 2, 3, 4)],
+        "window": 1,
+        "phase_mode": "static",
+        "num_classes": 2,
+        "input_size": [4, 4],
+    }
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-grads", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "grad_config_model=PASS" in out
+    assert "all_grads=PASS" in out
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--nonsense", "1"])

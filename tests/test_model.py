@@ -1,10 +1,13 @@
 """Model assembly, presets, forward contract, and param/FLOP accounting."""
 
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemlp.errors import ConfigurationError, DimensionError
 from wavemlp.model import (
@@ -21,7 +24,7 @@ from wavemlp.model import (
     preset,
     stage_resolutions,
 )
-from wavemlp.patm import PhaseMode
+from wavemlp.patm import DEPTHWISE_KERNEL, PhaseMode
 
 
 def _rng(seed=0):
@@ -147,33 +150,93 @@ def test_forward_reports_nonfinite_layer():
 # accounting
 
 
+def _built_size(m) -> int:
+    return sum(t.size for _, t in iter_params(m))
+
+
+def _macs_by_term(m, h: int, w: int) -> int:
+    """MACs summed term by term over a built model's windows, independently
+    of the closed form in ``count_flops``."""
+    cfg = m.config
+    total, c_in = 0, cfg.input_channels
+    for i, spec in enumerate(cfg.stages):
+        p = cfg.patch_sizes[i]
+        h, w = math.ceil(h / p), math.ceil(w / p)
+        n, d = h * w, spec.dim
+        total += n * (p * p * c_in) * d  # stem projection
+        per_patm = 2 * n * d * d + 2 * m.windows[i] * n * d  # wc, wout, mixing
+        if cfg.phase_mode is PhaseMode.CHANNEL_FC:
+            per_patm += n * d * d
+        elif cfg.phase_mode is PhaseMode.DEPTHWISE:
+            per_patm += DEPTHWISE_KERNEL * n * d
+        per_block = 2 * per_patm + n * d * d + 2 * n * d * (spec.expansion * d)
+        total += spec.depth * per_block
+        c_in = d
+    return total + c_in * cfg.num_classes  # head
+
+
 def test_count_params_tiny_matches_hand_derivation():
-    m = build(preset("tiny"), seed=0)
-    assert count_params(m) == TINY_PARAMS == 29380
+    assert count_params(preset("tiny")) == TINY_PARAMS == 29380
 
 
 def test_count_flops_tiny_matches_hand_derivation():
     m = build(preset("tiny"), seed=0)
-    assert count_flops(m, 8, 8) == TINY_FLOPS_8 == 32928
+    assert count_flops(m, 8, 8) == count_flops(m.config, 8, 8) == TINY_FLOPS_8 == 32928
 
 
 @pytest.mark.parametrize("name,ref", sorted(REFERENCE_BUDGETS.items()))
 def test_preset_budgets_within_ten_percent(name, ref):
-    m = build(preset(name), seed=0)
+    cfg = preset(name)
     ref_params, ref_flops = ref
-    assert abs(count_params(m) - ref_params) <= 0.10 * ref_params
-    assert abs(count_flops(m, 224, 224) - ref_flops) <= 0.10 * ref_flops
+    assert abs(count_params(cfg) - ref_params) <= 0.10 * ref_params
+    assert abs(count_flops(cfg, 224, 224) - ref_flops) <= 0.10 * ref_flops
+
+
+_PHASE_WINDOW_CASES = [(mode, window) for mode in PhaseMode for window in (3, "all")]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [preset(name) for name in ("T*", "T", "S", "M", "B", "tiny")]
+    + [preset("tiny", phase_mode=m, window=w, input_size=(16, 16)) for m, w in _PHASE_WINDOW_CASES],
+    ids=["T*", "T", "S", "M", "B", "tiny"] + [f"{m.value}-{w}" for m, w in _PHASE_WINDOW_CASES],
+)
+def test_counts_from_config_match_built_model(cfg):
+    m = build(cfg, seed=0, dtype=np.float32)  # sizes only; f32 halves the memory
+    assert count_params(cfg) == _built_size(m)
+    for h, w in [(224, 224), (16, 16), (17, 40)]:
+        assert count_flops(cfg, h, w) == count_flops(m, h, w) == _macs_by_term(m, h, w)
+
+
+@st.composite
+def _small_configs(draw):
+    dims = sorted(draw(st.sets(st.integers(1, 16), min_size=4, max_size=4)))
+    stages = [StageSpec(d, draw(st.integers(1, 2)), draw(st.integers(1, 2))) for d in dims]
+    mode = draw(st.sampled_from(list(PhaseMode)))
+    window = draw(st.sampled_from([1, 3, 5, 7, "all"]))
+    sizes = st.tuples(st.integers(4, 40), st.integers(4, 40))
+    needs_size = window == "all" or mode is PhaseMode.STATIC
+    size = draw(sizes if needs_size else st.none() | sizes)
+    classes = draw(st.integers(2, 5))
+    return ArchConfig(stages, window=window, phase_mode=mode, num_classes=classes, input_size=size)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cfg=_small_configs(), h=st.integers(1, 48), w=st.integers(1, 48))
+def test_pure_counts_equal_those_of_the_built_model(cfg, h, w):
+    m = build(cfg, seed=0)
+    assert count_params(cfg) == _built_size(m)
+    assert count_flops(cfg, h, w) == count_flops(m, h, w) == _macs_by_term(m, h, w)
 
 
 def test_param_count_independent_of_seed_and_resolution():
     cfg = preset("tiny")
-    n0 = count_params(build(cfg, seed=0))
-    n1 = count_params(build(cfg, seed=99))
-    assert n0 == n1
+    n0 = _built_size(build(cfg, seed=0))
+    assert _built_size(build(cfg, seed=99)) == n0 == count_params(cfg)
     m = build(cfg, seed=0)
     forward(m, np.zeros((1, 16, 16, 3)))
     forward(m, np.zeros((1, 64, 96, 3)))
-    assert count_params(m) == n0
+    assert _built_size(m) == n0
 
 
 def test_flops_scale_linearly_with_tokens():
@@ -205,6 +268,32 @@ def test_json_roundtrip(tmp_path):
     # dict and JSON-text sources too
     assert arch_config_to_dict(load_arch_config(doc)) == doc
     assert arch_config_to_dict(load_arch_config(json.dumps(doc))) == doc
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"stages": 5},
+        {"window": True},
+        {"window": 3.0},
+        {"num_classes": "4"},
+        {"patch_sizes": 4},
+        {"phase_mode": "spiral"},
+        {"dropout": True},
+    ],
+    ids=repr,
+)
+def test_json_bad_types_rejected(change):
+    doc = {**arch_config_to_dict(preset("tiny")), **change}
+    with pytest.raises(ConfigurationError):
+        load_arch_config(doc)
+
+
+def test_json_stage_with_unknown_key_rejected():
+    doc = arch_config_to_dict(preset("tiny"))
+    doc["stages"][0]["width"] = 3
+    with pytest.raises(ConfigurationError):
+        load_arch_config(doc)
 
 
 def test_json_unknown_key_rejected():

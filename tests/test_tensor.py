@@ -225,6 +225,34 @@ def test_backward_populates_each_leaf_once_and_zeros_unused():
     npt.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-12)
 
 
+def test_backward_hands_each_leaf_an_owned_writeable_grad():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.add(a, b))  # one broadcast view would serve both
+    tape.backward(loss)
+    assert a.grad is not b.grad
+    assert a.grad.flags.writeable and b.grad.flags.writeable
+    a.grad *= 2
+    npt.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    npt.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
+def test_backward_copies_a_grad_that_views_another_leafs():
+    rng = _rng(9)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    r = Tensor(rng.normal(size=(2, 3)))
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(T.add(a, T.transpose(b)), r))  # b's grad is a.grad.T
+    tape.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    npt.assert_array_equal(a.grad, r.data)
+    npt.assert_array_equal(b.grad, r.data.T)
+    b.grad[:] = 0.0
+    npt.assert_array_equal(a.grad, r.data)
+
+
 def test_tensor_used_twice_accumulates():
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:

@@ -1,6 +1,7 @@
 """Optimizer, schedule, training loop, synthetic tasks, and ablation tables."""
 
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from wavemlp.train import (
     AdamWState,
     TrainConfig,
     ablate,
+    ablation_workers,
     adamw_init,
     adamw_step,
     cosine_lr,
@@ -252,6 +254,19 @@ def test_ablate_parallel_workers_match_serial(monkeypatch):
     monkeypatch.setenv("WAVEMLP_THREADS", "2")
     parallel = ablate("phase_mode", task, _quick_tc(), seeds=(0, 1, 2))
     assert serial.csv_text() == parallel.csv_text()
+
+
+def test_ablation_workers_parses_and_clamps(monkeypatch):
+    """Pure parsing of WAVEMLP_THREADS; no process is started here."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert ablation_workers(None, 9) == 1
+    assert ablation_workers("1", 9) == 1
+    assert ablation_workers("3", 9) == 3
+    assert ablation_workers("64", 9) == 4  # clamped to the CPUs
+    assert ablation_workers("64", 2) == 2  # clamped to the cells
+    for bad in ["abc", "", "2.5", "0", "-3"]:
+        with pytest.raises(ConfigurationError):
+            ablation_workers(bad, 9)
 
 
 def test_ablate_rejects_unknown_axis_and_few_seeds():
