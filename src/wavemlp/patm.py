@@ -8,7 +8,9 @@ channel-FC.
 
 Window weights are indexed by relative offset and shared across positions
 (depthwise-convolution style), so one parameter set serves any input size;
-positions past the boundary contribute exact zeros.
+positions past the boundary contribute exact zeros. Each windowed sum, of the
+real part, of the imaginary part and of the depthwise phase estimator, is one
+fused ``tensor.window_mix`` op.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .tensor import (
     cos,
     matmul,
     mul,
-    pad_zeros,
     reshape,
     sin,
-    slice_window,
     transpose,
+    window_mix,
 )
 
 __all__ = [
@@ -134,20 +135,6 @@ def compute_amplitude(x: Tensor, wc: Tensor) -> Tensor:
     return channel_fc(x, wc)
 
 
-def _window_weighted_sum(x: Tensor, weights: Tensor, axis_idx: int, window: int) -> Tensor:
-    """sum_r weights[r] * x[j + r - window//2] with zero padding, per channel."""
-    half = window // 2
-    extent = x.shape[axis_idx]
-    padded = pad_zeros(x, axis_idx, half, half) if half else x
-    acc = None
-    for r in range(window):
-        shifted = slice_window(padded, axis_idx, r, extent) if half else padded
-        row = slice_window(weights, 0, r, 1)  # [1, d] broadcasts over positions
-        term = mul(shifted, row)
-        acc = term if acc is None else add(acc, term)
-    return acc
-
-
 def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str) -> Tensor:
     """Produce a phase grid (radians) for every token element."""
     mode = PhaseMode(mode)
@@ -168,7 +155,12 @@ def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str)
     if mode is PhaseMode.CHANNEL_FC:
         return channel_fc(x, wtheta)
     # DEPTHWISE: per-channel 1-D convolution along this instance's axis
-    return _window_weighted_sum(x, wtheta, AXIS_INDEX[axis], DEPTHWISE_KERNEL)
+    if tuple(wtheta.shape) != (DEPTHWISE_KERNEL, x.shape[-1]):
+        raise DimensionError(
+            f"depthwise wtheta must be [{DEPTHWISE_KERNEL}, {x.shape[-1]}], "
+            f"got {tuple(wtheta.shape)}"
+        )
+    return window_mix(x, wtheta, AXIS_INDEX[axis])
 
 
 def aggregate_tokens(
@@ -197,10 +189,7 @@ def aggregate_tokens(
     axis_idx = AXIS_INDEX[axis]
     real = mul(amp, cos(theta))
     imag = mul(amp, sin(theta))
-    return add(
-        _window_weighted_sum(real, wt, axis_idx, window),
-        _window_weighted_sum(imag, wi, axis_idx, window),
-    )
+    return add(window_mix(real, wt, axis_idx), window_mix(imag, wi, axis_idx))
 
 
 def patm_forward(x: Tensor, p: PatmParams) -> Tensor:

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .blocks import block_forward, normalize, patch_embed
-from .errors import ConfigurationError, UnsupportedModeError
+from .errors import ConfigurationError, ContractError, UnsupportedModeError
 from .model import ModelParams
 from .patm import estimate_phase
 from .tensor import Tensor
@@ -106,14 +106,26 @@ def write_pgm(path: str, values: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    """Read back, as an [h, w] uint8 array, exactly what ``write_pgm`` writes.
+
+    The contract is narrow on purpose: the lines ``P5``, ``<w> <h>`` and
+    ``255``, each ending in one newline, then exactly w*h pixel bytes. General
+    Netpbm (comments, free whitespace, other maxvals) is not read; anything
+    else raises ContractError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM: magic {magic!r}")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        if maxval != 255:
-            raise ValueError(f"expected 8-bit PGM, maxval {maxval}")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w)
+        magic = fh.readline().rstrip(b"\n")
+        dims = fh.readline().rstrip(b"\n").split(b" ")
+        maxval = fh.readline().rstrip(b"\n")
+        data = fh.read()
+    if magic != b"P5":
+        raise ContractError(f"not a binary PGM: magic {magic!r}")
+    if len(dims) != 2 or not all(d.isdigit() for d in dims) or not maxval.isdigit():
+        header = b" ".join(dims)
+        raise ContractError(f"malformed PGM header: dimensions {header!r}, maxval {maxval!r}")
+    w, h = int(dims[0]), int(dims[1])
+    if int(maxval) != 255:
+        raise ContractError(f"expected 8-bit PGM, maxval {int(maxval)}")
+    if len(data) != w * h:
+        raise ContractError(f"PGM of {w}x{h} needs {w * h} pixel bytes, found {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

@@ -30,7 +30,7 @@ from .blocks import (
 )
 from .patm import PhaseMode, aggregate_tokens, init_patm, patm_forward
 from .synth import SynthTask
-from .tensor import Tensor, grad_check, matmul, mul, reduce_mean, transpose
+from .tensor import Tensor, grad_check, matmul, mul, reduce_mean, transpose, window_mix
 from .train import TrainConfig, train
 
 __all__ = ["CheckResult", "check_config_model", "load_pilot", "run_selftest"]
@@ -166,6 +166,10 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
 
     model_ts, loss_fn = _two_block_model(seed + 4)
     run("two_block_model", loss_fn, model_ts)
+
+    xw = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+    ww = Tensor(rng.normal(size=(5, 2)), requires_grad=True)  # window 5 > extent 3
+    run("window_mix", lambda ts: _mean_square(window_mix(xw, ww, 1)), [xw, ww])
     return results
 
 

@@ -30,19 +30,16 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "cos",
     "sin",
     "sqrt",
-    "atan2",
     "gelu",
-    "absolute",
     "reduce_sum",
     "reduce_mean",
     "reshape",
     "transpose",
     "pad_zeros",
-    "slice_window",
+    "window_mix",
     "softmax_cross_entropy",
     "grad_check",
 ]
@@ -93,40 +90,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype.name}{flag})"
-
-    # Operator sugar; everything routes through the taped ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __abs__(self):
-        return absolute(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -293,31 +256,8 @@ def div(a, b) -> Tensor:
     return out
 
 
-def atan2(y, x) -> Tensor:
-    """Angle of the point (x, y); gradient defined as (0, 0) at the origin."""
-    y, x = _operands(y, x, "atan2")
-    out = Tensor(np.arctan2(y.data, x.data), y.requires_grad or x.requires_grad)
-
-    def backward(g):
-        denom = x.data * x.data + y.data * y.data
-        safe = np.where(denom == 0.0, 1.0, denom)
-        gy = np.where(denom == 0.0, 0.0, g * x.data / safe)
-        gx = np.where(denom == 0.0, 0.0, -g * y.data / safe)
-        return _unbroadcast(gy, y.shape), _unbroadcast(gx, x.shape)
-
-    _record((y, x), out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # unary elementwise ops
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-    _record((a,), out, lambda g: (-g,))
-    return out
 
 
 def cos(a) -> Tensor:
@@ -341,14 +281,6 @@ def sqrt(a) -> Tensor:
     root = np.sqrt(a.data)
     out = Tensor(root, a.requires_grad)
     _record((a,), out, lambda g: (g * 0.5 / root,))
-    return out
-
-
-def absolute(a) -> Tensor:
-    """|a| elementwise; the subgradient at 0 is fixed to 0."""
-    a = _as_tensor(a)
-    out = Tensor(np.abs(a.data), a.requires_grad)
-    _record((a,), out, lambda g: (g * np.sign(a.data),))
     return out
 
 
@@ -493,24 +425,48 @@ def pad_zeros(a, axis: int, before: int, after: int) -> Tensor:
     return out
 
 
-def slice_window(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous window of ``length`` elements along ``axis`` from ``start``."""
-    a = _as_tensor(a)
-    (ax,) = _norm_axes(axis, a.ndim, "slice_window")
-    if length < 1 or start < 0 or start + length > a.shape[ax]:
+def window_mix(x, w, axis: int) -> Tensor:
+    """Per-channel windowed sum along one axis, taped as one op.
+
+    out[j] = sum_r w[r] * x[j + r - window//2] along ``axis``, where ``w`` is
+    [window, channels] with an odd window and the channels are ``x``'s last
+    axis; positions past either edge contribute exact zeros. This is a
+    depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
+    window//2], dw[r] = sum of g * x shifted by r over all but the channels.
+    """
+    x = _as_tensor(x)
+    w = _as_tensor(w, like=x)
+    (ax,) = _norm_axes(axis, x.ndim, "window_mix")
+    if w.ndim != 2 or w.shape[0] % 2 == 0:
         raise DimensionError(
-            f"slice_window: [{start}, {start + length}) outside axis extent {a.shape[ax]}"
+            f"window_mix: weights must be [odd window, channels], got {tuple(w.shape)}"
         )
-    sl = [slice(None)] * a.ndim
-    sl[ax] = slice(start, start + length)
-    out = Tensor(a.data[tuple(sl)], a.requires_grad)
+    if w.shape[1] != x.shape[-1]:
+        raise DimensionError(
+            f"window_mix: weights have {w.shape[1]} channels, input has {x.shape[-1]}"
+        )
+    window, extent = w.shape[0], x.shape[ax]
+    half = window // 2
+    widths = [(0, 0)] * x.ndim
+    widths[ax] = (half, half)
+    padded = np.pad(x.data, widths)
+    # shifts[r] selects, from a padded array, the inputs that w[r] weights
+    shifts = [(slice(None),) * ax + (slice(r, r + extent),) for r in range(window)]
+    acc = padded[shifts[0]] * w.data[0:1]
+    for r in range(1, window):
+        acc += padded[shifts[r]] * w.data[r : r + 1]
+    out = Tensor(acc, x.requires_grad or w.requires_grad)
 
     def backward(g):
-        gx = np.zeros_like(a.data)
-        gx[tuple(sl)] = g
-        return (gx,)
+        gpad = np.zeros_like(padded)
+        gw = np.zeros_like(w.data)
+        for r in reversed(range(window)):
+            slot = gpad[shifts[r]]
+            slot += g * w.data[r : r + 1]
+            gw[r : r + 1] = _unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
+        return gpad[shifts[half]], gw
 
-    _record((a,), out, backward)
+    _record((x, w), out, backward)
     return out
 
 

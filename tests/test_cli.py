@@ -124,6 +124,21 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_main_runs_repeatedly_in_one_process(tmp_path, capsys):
+    """Errors in between leave later calls in the same process unchanged."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["count", "--preset", "T*"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--preset", "nonsense"])
+    assert exc.value.code == 2
+    assert main(["count", "--config", str(bad)]) == 1
+    capsys.readouterr()
+    assert main(["count", "--preset", "T*"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_train_writes_history(tmp_path, capsys):
     code = main(
         ["train", "--preset", "tiny", "--task", "interference", "--epochs", "1", "--out", str(tmp_path)]

@@ -131,6 +131,13 @@ def test_phase_depthwise_matches_explicit_convolution():
     npt.assert_allclose(out, want, atol=1e-12)
 
 
+def test_phase_depthwise_rejects_a_kernel_of_another_length():
+    x = Tensor(np.zeros((1, 4, 4, 2)))
+    for rows in (1, 5):
+        with pytest.raises(DimensionError):
+            estimate_phase(x, PhaseMode.DEPTHWISE, Tensor(np.zeros((rows, 2))), "height")
+
+
 # ---------------------------------------------------------------------------
 # aggregate_tokens
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wavemlp.errors import ConfigurationError, UnsupportedModeError
+from wavemlp.errors import ConfigurationError, ContractError, UnsupportedModeError
 from wavemlp.model import build, preset
 from wavemlp.phasemap import (
     export_phase_map,
@@ -101,6 +101,24 @@ def test_pgm_writer_reader_inverse(tmp_path):
     assert pixels.shape == (5, 9)
     write_pgm(path, vals)  # re-encode equality
     npt.assert_array_equal(read_pgm(path), pixels)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"P6\n2 1\n255\n\x00\x01",  # bad magic
+        b"P5\n\n255\n\x00\x01",  # header with no dimensions
+        b"P5\n2 x\n255\n\x00\x01",  # non-integer dimensions
+        b"P5\n2 1\n65535\n\x00\x01",  # maxval other than 255
+        b"P5\n2 1\n255\n\x00",  # short pixel data
+    ],
+    ids=["bad-magic", "no-dimensions", "non-integer-dimensions", "maxval", "short-data"],
+)
+def test_read_pgm_rejects_what_write_pgm_never_writes(tmp_path, content):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ContractError):
+        read_pgm(str(path))
 
 
 def test_map_rejects_even_window():

@@ -3,9 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemlp import tensor as T
 from wavemlp.errors import ContractError, DimensionError, DomainError
+from wavemlp.patm import aggregate_tokens
 from wavemlp.tensor import GradCheckReport, Tape, Tensor, grad_check
 
 
@@ -54,28 +57,6 @@ def test_cos_sin_trivia():
     npt.assert_allclose(T.sin(x).data, [0.0, 1.0, 0.0], atol=1e-15)
 
 
-def test_atan2_trivia():
-    assert float(T.atan2(Tensor(1.0), Tensor(1.0)).data) == pytest.approx(np.pi / 4, abs=1e-15)
-
-
-def test_atan2_origin_gradient_is_zero():
-    y = Tensor(0.0, requires_grad=True)
-    x = Tensor(0.0, requires_grad=True)
-    with Tape() as tape:
-        out = T.atan2(y, x)
-    assert float(out.data) == 0.0
-    tape.backward(out)
-    assert float(y.grad) == 0.0 and float(x.grad) == 0.0
-
-
-def test_abs_subgradient_at_zero():
-    x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
-    with Tape() as tape:
-        loss = T.reduce_sum(T.absolute(x))
-    tape.backward(loss)
-    npt.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
-
-
 def test_gelu_gradient_on_100_random_points():
     rng = _rng(2)
     x = Tensor(rng.normal(size=100), requires_grad=True)
@@ -101,12 +82,9 @@ def test_incompatible_broadcast_raises():
         (T.sub, 2),
         (T.mul, 2),
         (T.div, 2),
-        (T.atan2, 2),
-        (T.neg, 1),
         (T.cos, 1),
         (T.sin, 1),
         (T.gelu, 1),
-        (T.absolute, 1),
     ],
 )
 def test_elementwise_family_gradients(op, n_args):
@@ -149,26 +127,98 @@ def test_pad_zeros_trivial():
     npt.assert_array_equal(out.data, [0.0, 1.0, 2.0, 3.0, 0.0])
 
 
-def test_pad_then_slice_matches_gather_oracle():
-    """Center a window at each position; compare with an index-by-index gather."""
+# ---------------------------------------------------------------------------
+# window_mix
+
+
+def _window_mix_oracle(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Index-by-index gather: out[j] = sum_r w[r] * x[j + r - half], in r order."""
+    axis %= x.ndim
+    half = w.shape[0] // 2
+    out = np.zeros(x.shape, dtype=np.result_type(x, w))
+    for idx in np.ndindex(*x.shape):
+        total = out.dtype.type(0)
+        for r in range(w.shape[0]):
+            k = idx[axis] + r - half
+            if 0 <= k < x.shape[axis]:
+                src = idx[:axis] + (k,) + idx[axis + 1 :]
+                total += w[r, idx[-1]] * x[src]
+        out[idx] = total
+    return out
+
+
+def test_window_mix_matches_gather_oracle():
     rng = _rng(3)
-    x = rng.normal(size=11)
-    half = 3
-    padded = T.pad_zeros(Tensor(x), 0, half, half)
-    for j in range(11):
-        window = T.slice_window(padded, 0, j, 2 * half + 1).data
-        gathered = np.array(
-            [x[j + r - half] if 0 <= j + r - half < 11 else 0.0 for r in range(2 * half + 1)]
-        )
-        npt.assert_array_equal(window, gathered)  # bit-exact
+    x = rng.normal(size=(2, 11, 3))
+    for window in (1, 3, 7, 21, 23):  # 23 reaches past both edges from every position
+        w = rng.normal(size=(window, 3))
+        for axis in (0, 1, -1):
+            got = T.window_mix(Tensor(x), Tensor(w), axis).data
+            npt.assert_array_equal(got, _window_mix_oracle(x, w, axis))  # bit-exact
 
 
-def test_slice_window_bad_range():
-    x = Tensor(np.arange(5.0))
+def test_window_mix_bad_arguments():
+    x = Tensor(np.zeros((2, 5, 3)))
     with pytest.raises(DimensionError):
-        T.slice_window(x, 0, 3, 4)
+        T.window_mix(x, Tensor(np.zeros((2, 3))), 1)  # even window
     with pytest.raises(DimensionError):
-        T.slice_window(x, 1, 0, 1)
+        T.window_mix(x, Tensor(np.zeros((3, 4))), 1)  # channel mismatch
+    with pytest.raises(DimensionError):
+        T.window_mix(x, Tensor(np.zeros((3, 3))), 3)  # axis out of range
+    with pytest.raises(DimensionError):
+        T.window_mix(x, Tensor(np.zeros(3)), 1)  # 1-D weights
+    with pytest.raises(DimensionError):
+        T.window_mix(x, Tensor(np.zeros((3, 3, 1))), 1)  # 3-D weights
+
+
+@st.composite
+def _window_mix_cases(draw):
+    ndim = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim)))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    window = draw(st.sampled_from([1, 3, 5, 7]))  # 5 and 7 exceed every extent drawn
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shape, axis, window, dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_window_mix_cases())
+def test_window_mix_property(case):
+    shape, axis, window, dtype, seed = case
+    rng = _rng(seed)
+    xd = rng.normal(size=shape).astype(dtype)
+    wd = rng.normal(size=(window, shape[-1])).astype(dtype)
+    rd = rng.normal(size=shape).astype(dtype)
+    x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+    with Tape() as tape:
+        out = T.window_mix(x, w, axis)
+        loss = T.reduce_sum(T.mul(out, Tensor(rd)))
+    assert len(tape) == 3  # window_mix, mul, reduce_sum
+    tape.backward(loss)
+    npt.assert_array_equal(out.data, _window_mix_oracle(xd, wd, axis))
+    assert out.dtype == x.grad.dtype == w.grad.dtype == dtype
+
+    x64 = Tensor(xd.astype(np.float64))
+    w64 = Tensor(wd.astype(np.float64))
+    r64 = Tensor(rd.astype(np.float64))
+    rep = grad_check(
+        lambda ts: T.reduce_sum(T.mul(T.window_mix(ts[0], ts[1], axis), r64)), [x64, w64], tol=1e-4
+    )
+    assert rep.passed, rep
+
+
+def test_aggregate_tokens_tape_length_is_independent_of_window():
+    rng = _rng(11)
+    amp = Tensor(rng.normal(size=(1, 4, 5, 2)), requires_grad=True)
+    theta = Tensor(rng.normal(size=(1, 4, 5, 2)), requires_grad=True)
+    lengths = []
+    for window in (1, 3, 7):
+        wt = Tensor(rng.normal(size=(window, 2)), requires_grad=True)
+        wi = Tensor(rng.normal(size=(window, 2)), requires_grad=True)
+        with Tape() as tape:
+            aggregate_tokens(amp, theta, wt, wi, "width", window)
+        lengths.append(len(tape))
+    assert lengths == [lengths[0]] * 3, lengths
 
 
 def test_reshape_and_transpose_roundtrip():
@@ -187,10 +237,12 @@ def test_shape_op_gradients():
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     r1 = Tensor(rng.normal(size=(4, 3, 2)))
     r2 = Tensor(rng.normal(size=(2, 5, 4)))
+    r3 = Tensor(rng.normal(size=(2, 3, 4)))
+    w5 = Tensor(rng.normal(size=(5, 4)))  # window 5 is wider than the axis extent 3
     checks = [
         lambda t: T.reduce_sum(T.mul(T.transpose(t, (2, 1, 0)), r1)),
         lambda t: T.reduce_sum(T.mul(T.pad_zeros(t, 1, 1, 1), r2)),
-        lambda t: T.reduce_mean(T.mul(T.slice_window(t, 2, 1, 2), T.slice_window(r1, 0, 1, 2))),
+        lambda t: T.reduce_mean(T.mul(T.window_mix(t, w5, 1), r3)),
         lambda t: T.reduce_sum(T.mul(T.reduce_mean(t, axis=(0, 2), keepdims=True), 2.0)),
     ]
     for f in checks:
