@@ -16,19 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_forward
-from .tensor import (
-    Tensor,
-    add,
-    div,
-    gelu,
-    mul,
-    pad_zeros,
-    reduce_mean,
-    reshape,
-    sqrt,
-    sub,
-    transpose,
-)
+from .tensor import Tensor, add, gelu, layer_norm, mul, pad_zeros, reshape, transpose
 
 __all__ = [
     "NORM_EPS",
@@ -87,11 +75,7 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float = NORM_EPS) ->
     d = x.shape[-1]
     if scale.shape != (d,) or shift.shape != (d,):
         raise DimensionError(f"scale/shift must be [{d}], got {tuple(scale.shape)}")
-    mean = reduce_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mean)
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    unit = div(centered, sqrt(add(var, eps)))
-    return add(mul(unit, scale), shift)
+    return layer_norm(x, scale, shift, eps)
 
 
 def token_mixing_forward(x: Tensor, b: BlockParams) -> Tensor:

@@ -22,17 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import (
-    Tensor,
-    add,
-    cos,
-    matmul,
-    mul,
-    reshape,
-    sin,
-    transpose,
-    window_mix,
-)
+from .tensor import Tensor, add, cos, linear, mul, sin, window_mix
 
 __all__ = [
     "PhaseMode",
@@ -119,11 +109,7 @@ def channel_fc(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(
             f"channel_fc: weight expects {w.shape[1]} channels, input has {c_in}"
         )
-    lead = tuple(x.shape[:-1])
-    n = int(np.prod(lead)) if lead else 1
-    flat = reshape(x, (n, c_in))
-    out = matmul(flat, transpose(w))
-    return reshape(out, lead + (w.shape[0],))
+    return linear(x, w)
 
 
 def compute_amplitude(x: Tensor, wc: Tensor) -> Tensor:

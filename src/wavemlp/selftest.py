@@ -170,6 +170,10 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     xw = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
     ww = Tensor(rng.normal(size=(5, 2)), requires_grad=True)  # window 5 > extent 3
     run("window_mix", lambda ts: _mean_square(window_mix(xw, ww, 1)), [xw, ww])
+
+    xn = Tensor(rng.normal(size=(2, 1, 2)), requires_grad=True)
+    wn = Tensor(rng.normal(size=(7, 2)), requires_grad=True)  # 6 of 7 offsets see only padding
+    run("window_mix_wide", lambda ts: _mean_square(window_mix(xn, wn, 1)), [xn, wn])
     return results
 
 

@@ -19,20 +19,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ContractError, DimensionError
 
 __all__ = [
     "Tensor",
     "Tape",
     "GradCheckReport",
     "matmul",
+    "linear",
+    "layer_norm",
     "add",
-    "sub",
     "mul",
-    "div",
     "cos",
     "sin",
-    "sqrt",
     "gelu",
     "reduce_sum",
     "reduce_mean",
@@ -221,36 +220,12 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b, "sub")
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    _record((a, b), out, backward)
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b, "mul")
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    _record((a, b), out, backward)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b, "div")
-    out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
 
     _record((a, b), out, backward)
     return out
@@ -271,16 +246,6 @@ def sin(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.sin(a.data), a.requires_grad)
     _record((a,), out, lambda g: (g * np.cos(a.data),))
-    return out
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError("sqrt of negative value")
-    root = np.sqrt(a.data)
-    out = Tensor(root, a.requires_grad)
-    _record((a,), out, lambda g: (g * 0.5 / root,))
     return out
 
 
@@ -326,6 +291,73 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     _record((a, b), out, backward)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused per-token layers
+
+
+def linear(x, w) -> Tensor:
+    """y = x @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
+
+    Gradients: dx = g @ w, dw = (x.T @ g).T, with x and g flattened to 2-D.
+    """
+    x = _as_tensor(x)
+    w = _as_tensor(w, like=x)
+    if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
+        raise DimensionError(
+            f"linear: weight {tuple(w.shape)} does not map the last axis of {tuple(x.shape)}"
+        )
+    c_out, c_in = w.shape
+    lead = x.shape[:-1]
+    x2 = x.data.reshape(math.prod(lead), c_in)
+    out = Tensor((x2 @ w.data.T).reshape(lead + (c_out,)), x.requires_grad or w.requires_grad)
+
+    def backward(g):
+        g2 = g.reshape(-1, c_out)
+        dx = (g2 @ w.data).reshape(x.shape) if x.requires_grad else None
+        dw = (x2.T @ g2).T if w.requires_grad else None
+        return dx, dw
+
+    _record((x, w), out, backward)
+    return out
+
+
+def layer_norm(x, scale, shift, eps: float) -> Tensor:
+    """Standardize over the last axis, then scale and shift; taped as one op.
+
+    u = (x - mean) / sqrt(var + eps) and y = u * scale + shift, with scale and
+    shift [channels]. Closed-form backward (Ba et al., arXiv:1607.06450): with
+    gu = g * scale, dx = (gu - mean(gu) - u * mean(gu * u)) / root,
+    dscale = sum of g * u and dshift = sum of g over every axis but the last.
+    """
+    x = _as_tensor(x)
+    scale = _as_tensor(scale, like=x)
+    shift = _as_tensor(shift, like=x)
+    if x.ndim == 0 or scale.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+        raise DimensionError(
+            f"layer_norm: scale/shift must be {x.shape[-1:]} for input {tuple(x.shape)}, "
+            f"got {tuple(scale.shape)}, {tuple(shift.shape)}"
+        )
+    mean = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    root = np.sqrt(var + eps)
+    unit = centered / root
+    out = Tensor(
+        unit * scale.data + shift.data,
+        x.requires_grad or scale.requires_grad or shift.requires_grad,
+    )
+
+    def backward(g):
+        gu = g * scale.data
+        mean_gu = gu.mean(axis=-1, keepdims=True)
+        mean_guu = (gu * unit).mean(axis=-1, keepdims=True)
+        dx = (gu - mean_gu - unit * mean_guu) / root
+        return dx, _unbroadcast(g * unit, scale.shape), _unbroadcast(g, shift.shape)
+
+    _record((x, scale, shift), out, backward)
     return out
 
 
@@ -433,6 +465,10 @@ def window_mix(x, w, axis: int) -> Tensor:
     axis; positions past either edge contribute exact zeros. This is a
     depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
+
+    Only the offsets that reach some input position are computed: on an axis
+    narrower than the window the others weight nothing but padding, so their
+    products are skipped and their rows of dw are exact zeros.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
@@ -447,24 +483,30 @@ def window_mix(x, w, axis: int) -> Tensor:
         )
     window, extent = w.shape[0], x.shape[ax]
     half = window // 2
-    widths = [(0, 0)] * x.ndim
-    widths[ax] = (half, half)
-    padded = np.pad(x.data, widths)
+    offsets = range(max(0, half - extent + 1), min(window, half + extent))  # the reach
+    pad = max(0, min(half, extent - 1))  # the farthest any offset in reach looks past an edge
+    lead = (slice(None),) * ax
+    inner = lead + (slice(pad, pad + extent),)
+    padded = np.zeros(x.shape[:ax] + (extent + 2 * pad,) + x.shape[ax + 1 :], dtype=x.dtype)
+    padded[inner] = x.data
     # shifts[r] selects, from a padded array, the inputs that w[r] weights
-    shifts = [(slice(None),) * ax + (slice(r, r + extent),) for r in range(window)]
-    acc = padded[shifts[0]] * w.data[0:1]
-    for r in range(1, window):
-        acc += padded[shifts[r]] * w.data[r : r + 1]
+    shifts = {r: lead + (slice(pad + r - half, pad + r - half + extent),) for r in offsets}
+    if offsets:
+        acc = padded[shifts[offsets[0]]] * w.data[offsets[0] : offsets[0] + 1]
+        for r in offsets[1:]:
+            acc += padded[shifts[r]] * w.data[r : r + 1]
+    else:  # an empty axis
+        acc = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
     out = Tensor(acc, x.requires_grad or w.requires_grad)
 
     def backward(g):
         gpad = np.zeros_like(padded)
         gw = np.zeros_like(w.data)
-        for r in reversed(range(window)):
+        for r in reversed(offsets):
             slot = gpad[shifts[r]]
             slot += g * w.data[r : r + 1]
             gw[r : r + 1] = _unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
-        return gpad[shifts[half]], gw
+        return gpad[inner], gw
 
     _record((x, w), out, backward)
     return out

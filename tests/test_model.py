@@ -25,6 +25,7 @@ from wavemlp.model import (
     stage_resolutions,
 )
 from wavemlp.patm import DEPTHWISE_KERNEL, PhaseMode
+from wavemlp.tensor import Tape, Tensor, softmax_cross_entropy
 
 
 def _rng(seed=0):
@@ -144,6 +145,27 @@ def test_forward_reports_nonfinite_layer():
     m.stages[1][0].mlp_fc1.data[0, 0] = np.inf
     with pytest.raises(NumericError, match="stage1.block0"):
         forward(m, np.ones((1, 16, 16, 3)))
+
+
+@pytest.mark.parametrize("mode", list(PhaseMode))
+def test_f32_stays_f32_through_a_taped_step(mode):
+    """Forward, loss and backward of an f32 model never upcast to f64."""
+    cfg = preset("tiny", phase_mode=mode, window=3, input_size=(16, 16), dropout=0.1)
+    m = build(cfg, seed=0, dtype=np.float32)
+    images = Tensor(_rng(5).normal(size=(2, 16, 16, 3)).astype(np.float32), requires_grad=True)
+    dtypes = []
+
+    class DtypeTape(Tape):
+        def record(self, inputs, output, backward):
+            dtypes.append(output.dtype)
+            super().record(inputs, output, backward)
+
+    with DtypeTape() as tape:
+        loss = softmax_cross_entropy(forward(m, images, rng=_rng(6)), np.array([0, 3]))
+    tape.backward(loss)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    leaves = [images] + [t for _, t in iter_params(m)]
+    assert {t.grad.dtype for t in leaves} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------
