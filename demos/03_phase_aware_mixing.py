@@ -19,12 +19,12 @@ amp = Tensor(np.ones((1, 5, 1, 1)))
 wt = Tensor(np.ones((3, 1)))
 wi = Tensor(np.zeros((3, 1)))
 
-flat = aggregate_tokens(amp, Tensor(np.zeros((1, 5, 1, 1))), wt, wi, "height", 3)
+flat = aggregate_tokens(amp, Tensor(np.zeros((1, 5, 1, 1))), wt, wi, "height")
 print("zero phases (classical token-FC), interior sums of 3 ones:")
 print(" ", flat.data[0, :, 0, 0])
 
 alternating = np.pi * np.arange(5).reshape(1, 5, 1, 1) % (2 * np.pi)
-waved = aggregate_tokens(amp, Tensor(alternating), wt, wi, "height", 3)
+waved = aggregate_tokens(amp, Tensor(alternating), wt, wi, "height")
 print("alternating 0/pi phases, same weights -- neighbours now cancel:")
 print(" ", waved.data[0, :, 0, 0])
 print()

@@ -56,10 +56,8 @@ class BlockParams:
     def __post_init__(self):
         if self.patm_h.axis != "height" or self.patm_w.axis != "width":
             raise ConfigurationError("patm_h must mix height and patm_w width")
-        if self.patm_h.window != self.patm_w.window:
-            raise ConfigurationError("both mixing modules must share one window")
-        if self.patm_h.wc.shape != self.patm_w.wc.shape:
-            raise ConfigurationError("both mixing modules must share one channel count")
+        if self.patm_h.wt.shape != self.patm_w.wt.shape:
+            raise ConfigurationError("both mixing modules must share one [window, channels]")
 
 
 @dataclass
@@ -71,10 +69,7 @@ class StemParams:
 
 
 def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """Standardize each token over its channel axis, then scale and shift."""
-    d = x.shape[-1]
-    if scale.shape != (d,) or shift.shape != (d,):
-        raise DimensionError(f"scale/shift must be [{d}], got {tuple(scale.shape)}")
+    """Standardize each token over its channels, then scale and shift; layer_norm checks shapes."""
     return layer_norm(x, scale, shift, eps)
 
 

@@ -23,7 +23,6 @@ from .errors import WaveMlpError
 from .selftest import (
     check_config_model,
     check_gradients,
-    load_pilot,
     pilot_task_config,
     run_selftest,
 )
@@ -70,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON ArchConfig (overrides --preset)")
     p.add_argument("--task", choices=["interference", "blobs"], default="interference")
     p.add_argument("--epochs", type=int, default=None, help="default: committed pilot value")
-    p.add_argument("--batch", type=int, default=None)
+    p.add_argument("--batch", type=int, default=None, dest="batch_size")
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None)
+    p.add_argument("--wd", type=float, default=None, dest="weight_decay")
     p.add_argument("--precision", choices=["f32", "f64"], default=None)
     _add_common(p)
 
@@ -136,7 +135,7 @@ def _cmd_count(args) -> int:
     if args.config or args.preset not in M.REFERENCE_BUDGETS or args.res != 224:
         return 0
     refs = M.REFERENCE_BUDGETS[args.preset]
-    oks = [abs(n - ref) <= 0.10 * ref for n, ref in zip((n_params, n_flops), refs)]
+    oks = [M.within_budget(n, ref) for n, ref in zip((n_params, n_flops), refs)]
     for key, ref, ok in zip(("params", "flops"), refs, oks):
         _kv(f"{key}_ref", int(ref))
         _kv(f"{key}_within_10pct", "PASS" if ok else "FAIL")
@@ -157,15 +156,10 @@ def _cmd_check_grads(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    doc = load_pilot()["train"]
-    return TrainConfig(
-        epochs=args.epochs if args.epochs is not None else doc["epochs"],
-        batch_size=args.batch if getattr(args, "batch", None) is not None else doc["batch_size"],
-        lr=args.lr if getattr(args, "lr", None) is not None else doc["lr"],
-        weight_decay=args.wd if getattr(args, "wd", None) is not None else doc["weight_decay"],
-        seed=args.seed,
-        precision=getattr(args, "precision", None) or doc["precision"],
-    )
+    """The committed pilot recipe with ``--seed`` and only the flags the user set."""
+    names = ("epochs", "batch_size", "lr", "weight_decay", "precision")
+    flags = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    return dataclasses.replace(pilot_task_config()[1], seed=args.seed, **flags)
 
 
 def _cmd_train(args) -> int:

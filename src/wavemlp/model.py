@@ -28,8 +28,8 @@ from .blocks import (
     patch_embed,
 )
 from .errors import ConfigurationError, DimensionError, NumericError
-from .patm import DEPTHWISE_KERNEL, PatmParams, PhaseMode, _uniform
-from .tensor import Tensor, add, matmul, reduce_mean, transpose
+from .patm import DEPTHWISE_KERNEL, PatmParams, PhaseMode, _uniform, channel_fc
+from .tensor import Tensor, add, reduce_mean
 
 __all__ = [
     "StageSpec",
@@ -37,6 +37,7 @@ __all__ = [
     "ModelParams",
     "PRESETS",
     "REFERENCE_BUDGETS",
+    "within_budget",
     "preset",
     "load_arch_config",
     "arch_config_to_dict",
@@ -162,7 +163,7 @@ PRESETS: dict[str, dict] = {
 }
 
 # Reference budgets each preset is sized against, at 224x224:
-# (parameter count, MACs). Matching is checked at +/-10%.
+# (parameter count, MACs). Matching is checked at +/-10% by ``within_budget``.
 REFERENCE_BUDGETS: dict[str, tuple[float, float]] = {
     "T*": (15e6, 2.1e9),
     "T": (17e6, 2.4e9),
@@ -170,6 +171,12 @@ REFERENCE_BUDGETS: dict[str, tuple[float, float]] = {
     "M": (44e6, 7.9e9),
     "B": (63e6, 10.2e9),
 }
+BUDGET_REL_TOL = 0.10
+
+
+def within_budget(count: int, ref: float, rel_tol: float = BUDGET_REL_TOL) -> bool:
+    """Whether a parameter or MAC count lies within rel_tol of its reference."""
+    return abs(count - ref) <= rel_tol * ref
 
 
 def preset(name: str, **overrides) -> ArchConfig:
@@ -244,12 +251,16 @@ class ModelParams:
     """All learnables of one network, in build order."""
 
     config: ArchConfig
-    windows: list[int]
     stems: list[StemParams]
     stages: list[list[BlockParams]] = field(repr=False)
     final_norm: NormParams = field(repr=False)
     head: Tensor = field(repr=False)  # [num_classes, d4]
     head_bias: Tensor = field(repr=False)  # [num_classes]
+
+    @property
+    def windows(self) -> list[int]:
+        """Mixing window per stage, from the config (each block's ``wt.shape[0]``)."""
+        return _stage_windows(self.config)
 
 
 def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
@@ -271,7 +282,7 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     final_norm = _norm_params(c_in, dtype)
     head = _uniform(rng, (cfg.num_classes, c_in), c_in, dtype)
     head_bias = Tensor(np.zeros(cfg.num_classes, dtype=dtype), requires_grad=True)
-    return ModelParams(cfg, windows, stems, stages, final_norm, head, head_bias)
+    return ModelParams(cfg, stems, stages, final_norm, head, head_bias)
 
 
 def iter_patm(p: PatmParams, prefix: str = "patm") -> list[tuple[str, Tensor]]:
@@ -313,9 +324,11 @@ def _check_finite(x: Tensor, layer: str) -> None:
 def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> Tensor:
     """Images [B, H, W, C] -> logits [B, num_classes].
 
-    ``rng`` enables dropout (training only); omit it for deterministic
-    evaluation. Raises NumericError naming the first layer that produced a
-    non-finite value.
+    Four stages of stem and blocks, a final norm, a mean over the token grid,
+    then the head (a channel-FC of the pooled features plus a bias). ``rng``
+    enables dropout (training only); omit it for deterministic evaluation.
+    Raises NumericError naming the first layer that produced a non-finite
+    value.
     """
     dtype = m.head.dtype
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=dtype))
@@ -336,7 +349,7 @@ def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> T
             _check_finite(x, f"stage{i}.block{j}")
     x = normalize(x, m.final_norm.scale, m.final_norm.shift)
     pooled = reduce_mean(x, axis=(1, 2))
-    logits = add(matmul(pooled, transpose(m.head)), m.head_bias)
+    logits = add(channel_fc(pooled, m.head), m.head_bias)
     _check_finite(logits, "head")
     return logits
 
@@ -383,6 +396,8 @@ def count_flops(m: ArchConfig | ModelParams, h: int, w: int) -> int:
     Counts matmuls (channel-FCs, the head), windowed token mixing
     (2*window MACs per token element, boundary zeros included), the
     depthwise phase convolution, and stem projections. Elementwise work is
-    excluded. Takes a config or a built model, whose config it counts.
+    excluded. Takes a config or a built model, whose config it counts; h and
+    w must be ints >= 1 (ConfigurationError otherwise).
     """
+    _ints("input h, w", (h, w), 1, 2)
     return _tally(_config(m), h, w)[1]

@@ -73,11 +73,11 @@ class PatmParams:
     wtheta               phase estimator; shape depends on phase_mode:
                          [d, d] for CHANNEL_FC, [3, d] for DEPTHWISE,
                          [H, W, d] for STATIC, None for NONE/IDENTITY
-    wt     [window, d]   real-part mixing weights, indexed by relative offset
+    wt     [window, d]   real-part mixing weights, indexed by relative offset;
+                         the odd mixing window is wt.shape[0], stored nowhere else
     wi     [window, d]   imaginary-part mixing weights, same shape as wt
     wout   [d, d]        output channel-FC
     axis                 "height" or "width"
-    window               odd positive mixing span
     """
 
     wc: Tensor
@@ -86,29 +86,18 @@ class PatmParams:
     wi: Tensor
     wout: Tensor
     axis: str
-    window: int
     phase_mode: PhaseMode
 
     def __post_init__(self):
         if self.axis not in AXIS_INDEX:
             raise ConfigurationError(f"axis must be height or width, got {self.axis!r}")
-        if self.window < 1 or self.window % 2 == 0:
-            raise ConfigurationError(f"window must be odd and positive, got {self.window}")
-        if tuple(self.wt.shape) != tuple(self.wi.shape):
-            raise ConfigurationError(
-                f"wt shape {tuple(self.wt.shape)} != wi shape {tuple(self.wi.shape)}"
-            )
+        wt, wi = tuple(self.wt.shape), tuple(self.wi.shape)
+        if len(wt) != 2 or wt[0] % 2 == 0 or wi != wt:
+            raise ConfigurationError(f"wt, wi must share one [odd window, d], got {wt}, {wi}")
 
 
 def channel_fc(x: Tensor, w: Tensor) -> Tensor:
-    """Apply y_j = W @ x_j to every token; x is [..., c_in], W is [c_out, c_in]."""
-    if w.ndim != 2:
-        raise DimensionError(f"channel_fc weight must be 2-D, got {tuple(w.shape)}")
-    c_in = x.shape[-1]
-    if w.shape[1] != c_in:
-        raise DimensionError(
-            f"channel_fc: weight expects {w.shape[1]} channels, input has {c_in}"
-        )
+    """y_j = W @ x_j for every token; x is [..., c_in], W [c_out, c_in]; linear checks shapes."""
     return linear(x, w)
 
 
@@ -149,29 +138,22 @@ def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str)
     return window_mix(x, wtheta, AXIS_INDEX[axis])
 
 
-def aggregate_tokens(
-    amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: str, window: int
-) -> Tensor:
+def aggregate_tokens(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: str) -> Tensor:
     """Windowed phase-modulated mixing along one spatial axis.
 
     out[j] = sum_r wt[r] * (amp*cos(theta))[j+r] + wi[r] * (amp*sin(theta))[j+r]
 
-    with r over the centered window and zero padding outside the grid. The
+    with r over the centered window (the length of wt and wi, both [odd window,
+    channels], checked by ``window_mix``) and zero padding outside the grid. The
     weights are per relative offset and per channel; the orthogonal spatial
     axis and the batch are untouched. Output shape equals input shape.
     """
-    if window < 1 or window % 2 == 0:
-        raise ConfigurationError(f"window must be odd and positive, got {window}")
     if tuple(amp.shape) != tuple(theta.shape):
         raise DimensionError(
             f"amplitude shape {tuple(amp.shape)} != phase shape {tuple(theta.shape)}"
         )
-    d = amp.shape[-1]
-    for name, w in (("wt", wt), ("wi", wi)):
-        if tuple(w.shape) != (window, d):
-            raise DimensionError(
-                f"{name} must be [{window}, {d}], got {tuple(w.shape)}"
-            )
+    if tuple(wt.shape) != tuple(wi.shape):
+        raise DimensionError(f"wt shape {tuple(wt.shape)} != wi shape {tuple(wi.shape)}")
     axis_idx = AXIS_INDEX[axis]
     real = mul(amp, cos(theta))
     imag = mul(amp, sin(theta))
@@ -182,7 +164,7 @@ def patm_forward(x: Tensor, p: PatmParams) -> Tensor:
     """Full module: amplitude, phase, windowed mixing, output channel-FC."""
     amp = compute_amplitude(x, p.wc)
     theta = estimate_phase(x, p.phase_mode, p.wtheta, p.axis)
-    mixed = aggregate_tokens(amp, theta, p.wt, p.wi, p.axis, p.window)
+    mixed = aggregate_tokens(amp, theta, p.wt, p.wi, p.axis)
     return channel_fc(mixed, p.wout)
 
 
@@ -220,4 +202,4 @@ def init_patm(
     wt = _uniform(rng, (window, d), window, dtype)
     wi = _uniform(rng, (window, d), window, dtype)
     wout = _uniform(rng, (d, d), d, dtype)
-    return PatmParams(wc, wtheta, wt, wi, wout, axis, window, phase_mode)
+    return PatmParams(wc, wtheta, wt, wi, wout, axis, phase_mode)

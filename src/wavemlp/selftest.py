@@ -96,7 +96,7 @@ def check_classical_limit(configs: int = 100, seed: int = 0, tol: float = 1e-12)
         theta = np.pi * rng.integers(0, 2, size=(1, h, w, d)).astype(float)
         wt = rng.normal(size=(window, d))
         got = aggregate_tokens(
-            Tensor(amp), Tensor(theta), Tensor(wt), Tensor(np.zeros((window, d))), axis, window
+            Tensor(amp), Tensor(theta), Tensor(wt), Tensor(np.zeros((window, d))), axis
         ).data
         signed = amp * np.cos(theta)
         want = np.zeros_like(signed)
@@ -155,7 +155,7 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     wi = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     run(
         "aggregate_tokens",
-        lambda ts: _mean_square(aggregate_tokens(amp, theta, wt, wi, "height", 3)),
+        lambda ts: _mean_square(aggregate_tokens(amp, theta, wt, wi, "height")),
         [amp, theta, wt, wi],
     )
 
@@ -216,13 +216,13 @@ def check_config_model(cfg: M.ArchConfig, seed: int = 0, tol: float = 1e-4) -> C
     return CheckResult("grad_config_model", rep.passed, f"max_rel_err={rep.max_rel_err:.3e}")
 
 
-def check_reference_budgets(rel_tol: float = 0.10) -> list[CheckResult]:
+def check_reference_budgets(rel_tol: float = M.BUDGET_REL_TOL) -> list[CheckResult]:
     """Preset parameter/FLOP counts vs the reference budgets at 224x224."""
     results = []
     for name, (ref_p, ref_f) in M.REFERENCE_BUDGETS.items():
         cfg = M.preset(name)
         n_params, n_flops = M.count_params(cfg), M.count_flops(cfg, 224, 224)
-        ok = abs(n_params - ref_p) <= rel_tol * ref_p and abs(n_flops - ref_f) <= rel_tol * ref_f
+        ok = M.within_budget(n_params, ref_p, rel_tol) and M.within_budget(n_flops, ref_f, rel_tol)
         detail = f"params={n_params} ref={ref_p:.0f} flops={n_flops} ref={ref_f:.0f}"
         results.append(CheckResult(f"budget_{name}", ok, detail))
     return results

@@ -14,9 +14,9 @@ from wavemlp.blocks import (
     patch_embed,
     token_mixing_forward,
 )
-from wavemlp.errors import DimensionError
+from wavemlp.errors import ConfigurationError, DimensionError
 from wavemlp.model import iter_block
-from wavemlp.patm import PhaseMode
+from wavemlp.patm import PhaseMode, init_patm
 from wavemlp.tensor import Tensor, grad_check, mul, reduce_mean
 
 
@@ -50,6 +50,34 @@ def test_block_preserves_shape():
         x = Tensor(_rng(h * 10 + w).normal(size=(2, h, w, 4)))
         assert token_mixing_forward(x, b).shape == (2, h, w, 4)
         assert block_forward(x, b).shape == (2, h, w, 4)
+
+
+def _block_with(patm_h, patm_w):
+    b = init_block(3, 2, 3, PhaseMode.CHANNEL_FC, _rng(30))
+    return BlockParams(patm_h, patm_w, b.branch_fc, b.mlp_fc1, b.mlp_fc2, b.norm1, b.norm2)
+
+
+@pytest.mark.parametrize(
+    "h_args,w_args",
+    [
+        ((3, 3, "width"), (3, 3, "height")),  # swapped axes
+        ((3, 3, "height"), (3, 5, "width")),  # different windows
+        ((3, 3, "height"), (4, 3, "width")),  # different channel counts
+    ],
+    ids=["swapped-axes", "different-windows", "different-channels"],
+)
+def test_block_params_rejects_mismatched_mixers(h_args, w_args):
+    (dh, win_h, axis_h), (dw, win_w, axis_w) = h_args, w_args
+    patm_h = init_patm(dh, win_h, axis_h, PhaseMode.CHANNEL_FC, _rng(31))
+    patm_w = init_patm(dw, win_w, axis_w, PhaseMode.CHANNEL_FC, _rng(32))
+    with pytest.raises(ConfigurationError):
+        _block_with(patm_h, patm_w)
+
+
+def test_block_params_accepts_matching_mixers():
+    patm_h = init_patm(3, 5, "height", PhaseMode.CHANNEL_FC, _rng(31))
+    patm_w = init_patm(3, 5, "width", PhaseMode.CHANNEL_FC, _rng(32))
+    assert _block_with(patm_h, patm_w).patm_w.wt.shape == (5, 3)
 
 
 def test_token_mixing_gradients():

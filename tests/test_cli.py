@@ -1,11 +1,14 @@
 """Command-line interface: flags, key=value output, and exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wavemlp.cli import main
+from wavemlp.cli import _build_parser, _train_config, main
+from wavemlp.selftest import load_pilot
+from wavemlp.train import TrainConfig
 
 
 def _parse_kv(out: str) -> dict:
@@ -93,6 +96,33 @@ def test_count_malformed_config_is_a_typed_error(tmp_path, capsys, content):
     assert code == 1
     assert err.startswith("error=ConfigurationError")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("res", ["0", "-5"], ids=["res-zero", "res-negative"])
+def test_count_bad_resolution_is_a_typed_error(capsys, res):
+    code = main(["count", "--preset", "T", "--res", res])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ConfigurationError")
+    assert "Traceback" not in captured.err
+    assert "flops=" not in captured.out
+
+
+def _committed_train_config(**changes) -> TrainConfig:
+    doc = load_pilot()["train"]
+    return replace(TrainConfig(**{**doc, "betas": tuple(doc["betas"])}), **changes)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_config_without_flags_is_the_committed_recipe(command):
+    argv = [command, "--seed", "7"] + (["--axis", "window"] if command == "ablate" else [])
+    tc = _train_config(_build_parser().parse_args(argv))
+    assert tc == _committed_train_config(seed=7)
+
+
+def test_train_config_applies_only_the_flags_set():
+    args = _build_parser().parse_args(["train", "--lr", "0.01", "--batch", "16"])
+    assert _train_config(args) == _committed_train_config(lr=0.01, batch_size=16)
 
 
 def test_check_grads_config_with_static_phase(tmp_path, capsys):

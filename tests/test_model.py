@@ -206,6 +206,12 @@ def test_count_flops_tiny_matches_hand_derivation():
     assert count_flops(m, 8, 8) == count_flops(m.config, 8, 8) == TINY_FLOPS_8 == 32928
 
 
+@pytest.mark.parametrize("h,w", [(0, 224), (224, -5), (True, 8), (8.0, 8)])
+def test_count_flops_rejects_bad_resolution(h, w):
+    with pytest.raises(ConfigurationError):
+        count_flops(preset("tiny"), h, w)
+
+
 @pytest.mark.parametrize("name,ref", sorted(REFERENCE_BUDGETS.items()))
 def test_preset_budgets_within_ten_percent(name, ref):
     cfg = preset(name)
@@ -341,6 +347,8 @@ def test_json_window_all_and_static():
     cfg = load_arch_config(doc)
     m = build(cfg, seed=0)
     assert m.windows == [7, 3, 1, 1]  # 2*extent-1 per stage at 16x16
+    for window, blocks in zip(m.windows, m.stages):  # read from the config, held by the weights
+        assert all(b.patm_h.wt.shape[0] == b.patm_w.wi.shape[0] == window for b in blocks)
     logits = forward(m, np.zeros((1, 16, 16, 3)))
     assert logits.shape == (1, 4)
     # static phase must reject other resolutions

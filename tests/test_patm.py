@@ -30,7 +30,6 @@ def _identity_params(d, window=1, mode=PhaseMode.NONE):
         wi=Tensor(np.zeros((window, d))),
         wout=Tensor(np.eye(d)),
         axis="height",
-        window=window,
         phase_mode=mode,
     )
 
@@ -149,7 +148,7 @@ def test_zero_phase_reduces_to_plain_token_fc():
     wt = rng.normal(size=(5, 4))
     wi = rng.normal(size=(5, 4))
     got = aggregate_tokens(
-        Tensor(amp), Tensor(np.zeros_like(amp)), Tensor(wt), Tensor(wi), "height", 5
+        Tensor(amp), Tensor(np.zeros_like(amp)), Tensor(wt), Tensor(wi), "height"
     ).data
     npt.assert_allclose(got, _token_fc_oracle(amp, wt, "height", 5), atol=1e-12)
 
@@ -161,7 +160,6 @@ def test_window_one_single_token_cos_pi():
         Tensor(np.ones((1, 1))),
         Tensor(np.zeros((1, 1))),
         "height",
-        1,
     )
     assert out.data.item() == pytest.approx(-3.0, abs=1e-15)
 
@@ -173,7 +171,7 @@ def test_aggregation_matches_complex_token_oracle():
     theta = rng.uniform(-7, 7, (1, 5, 1, 2))
     wt = rng.normal(size=(3, 2))
     wi = rng.normal(size=(3, 2))
-    got = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), "height", 3).data
+    got = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), "height").data
     z = amp * np.exp(1j * theta)
     want = np.zeros_like(amp)
     for j in range(5):
@@ -185,8 +183,8 @@ def test_aggregation_matches_complex_token_oracle():
 
 def test_even_window_rejected():
     amp = Tensor(np.zeros((1, 4, 1, 2)))
-    with pytest.raises(ConfigurationError):
-        aggregate_tokens(amp, amp, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), "height", 4)
+    with pytest.raises(DimensionError):
+        aggregate_tokens(amp, amp, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))), "height")
 
 
 def test_phase_shift_by_two_pi_is_invariant():
@@ -195,8 +193,8 @@ def test_phase_shift_by_two_pi_is_invariant():
     theta = rng.uniform(-3, 3, (1, 6, 2, 3))
     wt = Tensor(rng.normal(size=(3, 3)))
     wi = Tensor(rng.normal(size=(3, 3)))
-    a = aggregate_tokens(amp, Tensor(theta), wt, wi, "width", 3).data
-    b = aggregate_tokens(amp, Tensor(theta + 2 * np.pi), wt, wi, "width", 3).data
+    a = aggregate_tokens(amp, Tensor(theta), wt, wi, "width").data
+    b = aggregate_tokens(amp, Tensor(theta + 2 * np.pi), wt, wi, "width").data
     npt.assert_allclose(a, b, atol=1e-10)
 
 
@@ -210,7 +208,7 @@ def test_classical_phases_equal_token_fc_on_signed_amplitudes():
         theta = np.pi * rng.integers(0, 2, (1, h, w, d)).astype(float)
         wt = rng.normal(size=(window, d))
         wi = rng.normal(size=(window, d))
-        got = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), axis, window).data
+        got = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), axis).data
         npt.assert_allclose(got, _token_fc_oracle(amp * np.cos(theta), wt, axis, window), atol=1e-12)
 
 
@@ -220,14 +218,13 @@ def test_translation_equivariance_in_interior():
     amp = rng.normal(size=(1, h, 1, 2))
     theta = rng.uniform(-3, 3, (1, h, 1, 2))
     wt, wi = rng.normal(size=(window, 2)), rng.normal(size=(window, 2))
-    base = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), "height", window).data
+    base = aggregate_tokens(Tensor(amp), Tensor(theta), Tensor(wt), Tensor(wi), "height").data
     shifted = aggregate_tokens(
         Tensor(np.roll(amp, shift, axis=1)),
         Tensor(np.roll(theta, shift, axis=1)),
         Tensor(wt),
         Tensor(wi),
         "height",
-        window,
     ).data
     half = window // 2
     # positions whose windows stay inside the grid before and after the shift
@@ -297,18 +294,20 @@ def test_channel_fc_rejects_bad_weight():
 
 
 def test_patm_params_validation():
-    with pytest.raises(ConfigurationError):
-        _identity_params(2, window=2)
-    with pytest.raises(ConfigurationError):
-        PatmParams(
+    def params(wt_rows, wi_rows):
+        return PatmParams(
             wc=Tensor(np.eye(2)),
             wtheta=None,
-            wt=Tensor(np.zeros((3, 2))),
-            wi=Tensor(np.zeros((1, 2))),
+            wt=Tensor(np.zeros((wt_rows, 2))),
+            wi=Tensor(np.zeros((wi_rows, 2))),
             wout=Tensor(np.eye(2)),
             axis="height",
-            window=3,
             phase_mode=PhaseMode.NONE,
         )
+
+    with pytest.raises(ConfigurationError):
+        params(2, 2)  # even window
+    with pytest.raises(ConfigurationError):
+        params(3, 1)  # wt and wi differ
     with pytest.raises(ConfigurationError):
         init_patm(2, 3, "diagonal", PhaseMode.NONE, _rng(21))

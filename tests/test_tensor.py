@@ -292,7 +292,7 @@ def test_aggregate_tokens_tape_length_is_independent_of_window():
         wt = Tensor(rng.normal(size=(window, 2)), requires_grad=True)
         wi = Tensor(rng.normal(size=(window, 2)), requires_grad=True)
         with Tape() as tape:
-            aggregate_tokens(amp, theta, wt, wi, "width", window)
+            aggregate_tokens(amp, theta, wt, wi, "width")
         lengths.append(len(tape))
     assert lengths == [lengths[0]] * 3, lengths
 
