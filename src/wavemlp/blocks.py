@@ -3,20 +3,19 @@
 A block normalizes its input once, feeds that through three parallel
 branches (phase-aware mixing along height, along width, and a direct
 channel-FC), sums them onto the residual, then applies a pre-norm two-layer
-channel MLP with GELU. Stems embed non-overlapping patches with a linear
-projection, zero-padding ragged edges.
+channel MLP with GELU. A stem is the taped ``patchify``, which cuts
+non-overlapping patches and zero-pads ragged edges, then one channel-FC.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_forward
-from .tensor import Tensor, add, gelu, layer_norm, mul, pad_zeros, reshape, transpose
+from .tensor import Tensor, add, gelu, layer_norm, mul, patchify
 
 __all__ = [
     "NORM_EPS",
@@ -108,28 +107,11 @@ def block_forward(
 def patch_embed(x: Tensor, s: StemParams) -> Tensor:
     """Split [B, H, W, C] into patch*patch tiles and project each to c_out.
 
-    Spatial extents are zero-padded up to the next multiple of the patch
-    size, so output extents are ceil(H/p), ceil(W/p).
+    ``patchify`` zero-pads ragged edges, so output extents are ceil(H/p),
+    ceil(W/p); it checks for a 4-D, non-empty input, and ``linear`` checks
+    that the weight takes p*p*C inputs.
     """
-    if x.ndim != 4:
-        raise DimensionError(f"patch_embed expects [B, H, W, C], got {tuple(x.shape)}")
-    b, h, w, c = x.shape
-    if h == 0 or w == 0 or b == 0 or c == 0:
-        raise DimensionError(f"patch_embed: empty input {tuple(x.shape)}")
-    p = s.patch
-    if s.weight.shape[1] != p * p * c:
-        raise DimensionError(
-            f"stem expects {s.weight.shape[1] // (p * p)} input channels, got {c}"
-        )
-    hp, wp = math.ceil(h / p), math.ceil(w / p)
-    if hp * p != h:
-        x = pad_zeros(x, 1, 0, hp * p - h)
-    if wp * p != w:
-        x = pad_zeros(x, 2, 0, wp * p - w)
-    tiles = reshape(x, (b, hp, p, wp, p, c))
-    tiles = transpose(tiles, (0, 1, 3, 2, 4, 5))
-    flat = reshape(tiles, (b, hp, wp, p * p * c))
-    return channel_fc(flat, s.weight)
+    return channel_fc(patchify(x, s.patch), s.weight)
 
 
 def _norm_params(d: int, dtype) -> NormParams:

@@ -208,7 +208,7 @@ def load_arch_config(source) -> ArchConfig:
             else:
                 with open(text) as fh:
                     doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # nesting past the parser's depth
             raise ConfigurationError(f"cannot load config: {exc}") from None
     if not isinstance(doc, dict) or "stages" not in doc:
         raise ConfigurationError("a config is a JSON object with a 'stages' list")

@@ -61,16 +61,15 @@ def phase_difference_map(theta: np.ndarray, window: int) -> np.ndarray:
     h, w, _d = theta.shape
     half = window // 2
     out = np.zeros((h * window, w * window))
-    for i in range(h):
-        for j in range(w):
-            for di in range(-half, half + 1):
-                for dj in range(-half, half + 1):
-                    ki, kj = i + di, j + dj
-                    if 0 <= ki < h and 0 <= kj < w:
-                        val = float(np.mean(np.cos(theta[i, j] - theta[ki, kj])))
-                    else:
-                        val = 0.0
-                    out[i * window + half + di, j * window + half + dj] = val
+    for di in range(-half, half + 1):
+        for dj in range(-half, half + 1):
+            # tokens (i, j) whose neighbour (i + di, j + dj) lies on the grid
+            i0, i1 = max(0, -di), min(h, h - di)
+            j0, j1 = max(0, -dj), min(w, w - dj)
+            if i0 < i1 and j0 < j1:
+                diff = theta[i0:i1, j0:j1] - theta[i0 + di : i1 + di, j0 + dj : j1 + dj]
+                cells = out[half + di :: window, half + dj :: window]
+                cells[i0:i1, j0:j1] = np.cos(diff).mean(axis=-1)
     return out
 
 

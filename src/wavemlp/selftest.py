@@ -30,7 +30,7 @@ from .blocks import (
 )
 from .patm import PhaseMode, aggregate_tokens, init_patm, patm_forward
 from .synth import SynthTask
-from .tensor import Tensor, grad_check, matmul, mul, reduce_mean, transpose, window_mix
+from .tensor import Tensor, grad_check, linear, matmul, mul, reduce_mean, window_mix
 from .train import TrainConfig, train
 
 __all__ = ["CheckResult", "check_config_model", "load_pilot", "run_selftest"]
@@ -174,6 +174,10 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     xn = Tensor(rng.normal(size=(2, 1, 2)), requires_grad=True)
     wn = Tensor(rng.normal(size=(7, 2)), requires_grad=True)  # 6 of 7 offsets see only padding
     run("window_mix_wide", lambda ts: _mean_square(window_mix(xn, wn, 1)), [xn, wn])
+
+    stem = init_stem(2, 2, 3, np.random.default_rng(seed + 5))
+    xs = Tensor(rng.normal(size=(1, 5, 3, 2)), requires_grad=True)  # pads one row and one column
+    run("stem_ragged", lambda ts: _mean_square(patch_embed(xs, stem)), [xs, stem.weight])
     return results
 
 
@@ -197,7 +201,7 @@ def _two_block_model(seed: int):
         y = block_forward(y, b1)
         y = block_forward(y, b2)
         pooled = reduce_mean(y, axis=(1, 2))
-        return _mean_square(matmul(pooled, transpose(head)))
+        return _mean_square(linear(pooled, head))
 
     return tensors, loss_fn
 

@@ -35,10 +35,8 @@ __all__ = [
     "gelu",
     "reduce_sum",
     "reduce_mean",
-    "reshape",
-    "transpose",
-    "pad_zeros",
     "window_mix",
+    "patchify",
     "softmax_cross_entropy",
     "grad_check",
 ]
@@ -152,6 +150,8 @@ class Tape:
         # Only leaves (never an op output) remain keyed; assign once each.
         # A backward rule may hand one array, or a read-only broadcast view,
         # to several inputs: copy exactly those, so that every .grad is owned.
+        # A numpy scalar (the gradient of a 0-d input) is read-only too, and
+        # np.array turns it into a writeable 0-d array.
         assigned: set[int] = set()
         owners: set[int] = set()  # ids of the buffers already handed to a leaf
         for t in [t for inputs, _, _ in self._records for t in inputs] + [loss]:
@@ -161,7 +161,7 @@ class Tape:
             if g is None:
                 g = np.zeros_like(t.data)
             elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
-                g = g.copy()
+                g = np.array(g)
             owners.add(id(g if g.base is None else g.base))
             assigned.add(t.uid)
             t.grad = g
@@ -410,53 +410,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(int(s) for s in shape)
-    try:
-        data = a.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(
-            f"cannot reshape {tuple(a.shape)} (size {a.size}) to {shape}"
-        ) from None
-    out = Tensor(data, a.requires_grad)
-    _record((a,), out, lambda g: (g.reshape(a.shape),))
-    return out
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    if axes is None:
-        perm = tuple(range(a.ndim))[::-1]
-    else:
-        perm = tuple(int(ax) for ax in axes)
-        if sorted(perm) != list(range(a.ndim)):
-            raise DimensionError(f"transpose: {axes} is not a permutation of axes")
-    inv = tuple(np.argsort(perm))
-    out = Tensor(a.data.transpose(perm), a.requires_grad)
-    _record((a,), out, lambda g: (g.transpose(inv),))
-    return out
-
-
-def pad_zeros(a, axis: int, before: int, after: int) -> Tensor:
-    """Insert exact zeros before/after along one axis."""
-    a = _as_tensor(a)
-    (ax,) = _norm_axes(axis, a.ndim, "pad_zeros")
-    if before < 0 or after < 0:
-        raise DimensionError(f"pad_zeros: negative pad ({before}, {after})")
-    widths = [(0, 0)] * a.ndim
-    widths[ax] = (before, after)
-    out = Tensor(np.pad(a.data, widths), a.requires_grad)
-
-    def backward(g):
-        sl = [slice(None)] * a.ndim
-        sl[ax] = slice(before, before + a.shape[ax])
-        return (g[tuple(sl)],)
-
-    _record((a,), out, backward)
-    return out
-
-
 def window_mix(x, w, axis: int) -> Tensor:
     """Per-channel windowed sum along one axis, taped as one op.
 
@@ -509,6 +462,34 @@ def window_mix(x, w, axis: int) -> Tensor:
         return gpad[inner], gw
 
     _record((x, w), out, backward)
+    return out
+
+
+def patchify(x, patch: int) -> Tensor:
+    """Tile [B, H, W, C] into non-overlapping patch x patch tiles, taped as one op.
+
+    H and W are zero-padded up to the next multiple of ``patch``, so the
+    output is [B, ceil(H/p), ceil(W/p), p*p*C], each tile flattened in (row,
+    column, channel) order. Backward is the inverse rearrangement of the
+    gradient, cropped to the input.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 4 or x.size == 0 or patch < 1:
+        raise DimensionError(f"patchify: cannot tile {tuple(x.shape)} into {patch}x{patch} patches")
+    b, h, w, c = x.shape
+    p = patch
+    hp, wp = math.ceil(h / p), math.ceil(w / p)
+    full = (b, hp * p, wp * p, c)
+    padded = np.zeros(full, dtype=x.dtype)
+    padded[:, :h, :w] = x.data
+    tiles = padded.reshape(b, hp, p, wp, p, c).transpose(0, 1, 3, 2, 4, 5)
+    out = Tensor(tiles.reshape(b, hp, wp, p * p * c), x.requires_grad)
+
+    def backward(g):
+        rows = g.reshape(b, hp, wp, p, p, c).transpose(0, 1, 3, 2, 4, 5)
+        return (rows.reshape(full)[:, :h, :w],)
+
+    _record((x,), out, backward)
     return out
 
 

@@ -84,8 +84,17 @@ _TINY_STAGES = [{"dim": d, "depth": 1, "expansion": 2} for d in (8, 16, 24, 32)]
         '{"stages": [',
         json.dumps({"stages": _TINY_STAGES, "window": True}),
         json.dumps({"stages": _TINY_STAGES, "window": 3.0}),
+        '{"stages": ' + "[" * 50_000 + "]" * 50_000 + "}",
     ],
-    ids=["stages-not-a-list", "unknown-stage-key", "missing-file", "malformed-json", "bool-window", "float-window"],
+    ids=[
+        "stages-not-a-list",
+        "unknown-stage-key",
+        "missing-file",
+        "malformed-json",
+        "bool-window",
+        "float-window",
+        "deep-nesting",
+    ],
 )
 def test_count_malformed_config_is_a_typed_error(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"
@@ -196,6 +205,7 @@ def test_check_grads_command(capsys):
     assert code == 0
     assert "all_grads=PASS" in out
     assert "grad_two_block_model=PASS" in out
+    assert "grad_stem_ragged=PASS" in out
 
 
 def test_check_grads_fails_with_impossible_tolerance(capsys):

@@ -331,6 +331,54 @@ def test_json_unknown_key_rejected():
         load_arch_config(doc)
 
 
+def test_json_nested_past_the_parser_depth_rejected(tmp_path):
+    text = '{"stages": ' + "[" * 50_000 + "]" * 50_000 + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for source in (text, str(path)):
+        with pytest.raises(ConfigurationError):
+            load_arch_config(source)
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["all"] + [m.value for m in PhaseMode]),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(["dim", "depth"]) | st.text(max_size=4), children),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _config_documents(draw):
+    """The tiny preset's document with fields replaced, deleted or added, in it or its stages."""
+    doc = arch_config_to_dict(preset("tiny"))
+    for _ in range(draw(st.integers(0, 3))):
+        stages = doc.get("stages") if isinstance(doc.get("stages"), list) else []
+        target = draw(st.sampled_from([doc] + [s for s in stages if isinstance(s, dict)]))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if key in target and draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(st.integers(0, 9) | _JSON_VALUES)  # small ints are often valid
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=_config_documents() | _JSON_VALUES, as_text=st.booleans())
+def test_load_arch_config_property(doc, as_text):
+    """A document loads to an ArchConfig or raises ConfigurationError, nothing else."""
+    try:
+        cfg = load_arch_config(json.dumps(doc) if as_text else doc)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, ArchConfig)
+
+
 def test_json_window_all_and_static():
     doc = {
         "stages": [

@@ -72,6 +72,42 @@ def test_map_is_symmetric_under_pair_swap():
                         assert abs(a - b) < 1e-10
 
 
+def _phase_difference_map_oracle(theta: np.ndarray, window: int) -> np.ndarray:
+    """One cell at a time: token (i, j) against its neighbour (i + di, j + dj)."""
+    h, w, _d = theta.shape
+    half = window // 2
+    out = np.zeros((h * window, w * window))
+    for i in range(h):
+        for j in range(w):
+            for di in range(-half, half + 1):
+                for dj in range(-half, half + 1):
+                    ki, kj = i + di, j + dj
+                    if 0 <= ki < h and 0 <= kj < w:
+                        val = float(np.mean(np.cos(theta[i, j] - theta[ki, kj])))
+                    else:
+                        val = 0.0
+                    out[i * window + half + di, j * window + half + dj] = val
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape,window",
+    [
+        ((3, 4, 5), 7),
+        ((4, 4, 32), 7),
+        ((4, 3, 6), 3),
+        ((5, 2, 4), 1),
+        ((2, 5, 1), 9),  # wider than the grid along both axes
+        ((1, 1, 3), 5),  # one token: only the centre is on the grid
+    ],
+)
+def test_map_matches_loop_oracle(shape, window):
+    theta = _rng(5).uniform(-9, 9, shape)
+    npt.assert_array_equal(
+        phase_difference_map(theta, window), _phase_difference_map_oracle(theta, window)
+    )
+
+
 def test_map_out_of_grid_cells_are_zero():
     theta = np.zeros((2, 2, 3))
     vals = phase_difference_map(theta, 5)

@@ -69,6 +69,22 @@ def _taped(op, args, upstream):
     return out, records
 
 
+def _assert_owned_grads(leaves, dtype):
+    """Each leaf's .grad is a writeable ndarray of its shape and ``dtype``, sharing no memory."""
+    for i, t in enumerate(leaves):
+        assert isinstance(t.grad, np.ndarray) and t.grad.flags.writeable
+        assert t.grad.shape == t.shape and t.grad.dtype == dtype
+        assert not any(np.shares_memory(t.grad, u.grad) for u in leaves[i + 1 :])
+
+
+def _grad_check64(op, arrays, upstream):
+    """grad_check at 1e-4, in float64, of sum(op(*arrays) * upstream)."""
+    r64 = Tensor(np.asarray(upstream, dtype=np.float64))
+    ts = [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
+    rep = grad_check(lambda ts: T.reduce_sum(T.mul(op(*ts), r64)), ts, tol=1e-4)
+    assert rep.passed, rep
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(case=_last_axis_cases())
 def test_linear_property(case):
@@ -151,6 +167,62 @@ def test_gelu_gradient_on_100_random_points():
     assert rep.passed, rep
 
 
+@st.composite
+def _broadcast_cases(draw):
+    """Two operands that broadcast: trailing axes of one shape, some of them set to 1."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+
+    def operand():
+        kept = shape[len(shape) - draw(st.integers(0, len(shape))) :]  # none kept: a 0-d operand
+        return tuple(1 if draw(st.booleans()) else n for n in kept)
+
+    op = draw(st.sampled_from([T.add, T.mul]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return op, operand(), operand(), dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_broadcast_cases())
+@example(case=(T.mul, (), (2, 3), np.float32, 0))
+@example(case=(T.add, (3, 1), (1, 2), np.float64, 1))
+def test_add_mul_broadcast_property(case):
+    op, shape_a, shape_b, dtype, seed = case
+    rng = _rng(seed)
+    ad = rng.normal(size=shape_a).astype(dtype)
+    bd = rng.normal(size=shape_b).astype(dtype)
+    want = ad + bd if op is T.add else ad * bd
+    gd = rng.normal(size=want.shape).astype(dtype)
+    a, b = Tensor(ad, requires_grad=True), Tensor(bd, requires_grad=True)
+    out, records = _taped(op, (a, b), gd)
+    assert records == 1
+    npt.assert_array_equal(out.data, want)
+    assert out.dtype == dtype
+    _assert_owned_grads([a, b], dtype)
+    _grad_check64(op, (ad, bd), gd)
+
+
+@st.composite
+def _unary_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=0, max_size=3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shape, dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_unary_cases())
+def test_gelu_property(case):
+    shape, dtype, seed = case
+    rng = _rng(seed)
+    xd = (2.0 * rng.normal(size=shape)).astype(dtype)
+    gd = rng.normal(size=shape).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    out, records = _taped(T.gelu, (x,), gd)
+    assert records == 1
+    assert out.shape == shape and out.dtype == dtype
+    _assert_owned_grads([x], dtype)
+    _grad_check64(T.gelu, (xd,), gd)
+
+
 def test_incompatible_broadcast_raises():
     with pytest.raises(DimensionError):
         T.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -179,7 +251,7 @@ def test_elementwise_family_gradients(op, n_args):
 
 
 # ---------------------------------------------------------------------------
-# reductions / shape ops
+# reductions
 
 
 def test_reduce_sum_axis():
@@ -192,9 +264,35 @@ def test_reduce_axis_out_of_range():
         T.reduce_sum(Tensor(np.zeros((2, 2))), axis=2)
 
 
-def test_pad_zeros_trivial():
-    out = T.pad_zeros(Tensor([1.0, 2.0, 3.0]), 0, 1, 1)
-    npt.assert_array_equal(out.data, [0.0, 1.0, 2.0, 3.0, 0.0])
+@st.composite
+def _reduce_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    ndim = len(shape)
+    subset = draw(st.lists(st.integers(-ndim, ndim - 1), unique_by=lambda a: a % ndim))
+    axis = draw(st.sampled_from([None, tuple(subset)] + subset[:1]))  # all, a subset, one int
+    op = draw(st.sampled_from([T.reduce_mean, T.reduce_sum]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return op, shape, axis, draw(st.booleans()), dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_reduce_cases())
+@example(case=(T.reduce_mean, (2, 3, 2), (0, 2), True, np.float32, 0))
+@example(case=(T.reduce_mean, (3,), None, False, np.float64, 1))
+def test_reduce_property(case):
+    op, shape, axis, keepdims, dtype, seed = case
+    rng = _rng(seed)
+    xd = rng.normal(size=shape).astype(dtype)
+    reduce = np.mean if op is T.reduce_mean else np.sum
+    want = reduce(xd, axis=axis, keepdims=keepdims)
+    gd = rng.normal(size=np.shape(want)).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    out, records = _taped(lambda t: op(t, axis=axis, keepdims=keepdims), (x,), gd)
+    assert records == 1
+    npt.assert_array_equal(out.data, want)
+    assert out.shape == np.shape(want) and out.dtype == dtype
+    _assert_owned_grads([x], dtype)
+    _grad_check64(lambda t: op(t, axis=axis, keepdims=keepdims), (xd,), gd)
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +395,101 @@ def test_aggregate_tokens_tape_length_is_independent_of_window():
     assert lengths == [lengths[0]] * 3, lengths
 
 
-def test_reshape_and_transpose_roundtrip():
-    rng = _rng(4)
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    y = T.transpose(T.reshape(x, (6, 4)), (1, 0))
-    assert y.shape == (4, 6)
-    with pytest.raises(DimensionError):
-        T.reshape(x, (5, 5))
-    with pytest.raises(DimensionError):
-        T.transpose(x, (0, 0, 1))
-
-
 def test_shape_op_gradients():
     rng = _rng(5)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    r1 = Tensor(rng.normal(size=(4, 3, 2)))
-    r2 = Tensor(rng.normal(size=(2, 5, 4)))
     r3 = Tensor(rng.normal(size=(2, 3, 4)))
     w5 = Tensor(rng.normal(size=(5, 4)))  # window 5 is wider than the axis extent 3
     checks = [
-        lambda t: T.reduce_sum(T.mul(T.transpose(t, (2, 1, 0)), r1)),
-        lambda t: T.reduce_sum(T.mul(T.pad_zeros(t, 1, 1, 1), r2)),
         lambda t: T.reduce_mean(T.mul(T.window_mix(t, w5, 1), r3)),
         lambda t: T.reduce_sum(T.mul(T.reduce_mean(t, axis=(0, 2), keepdims=True), 2.0)),
     ]
     for f in checks:
         rep = grad_check(f, x, tol=1e-4)
         assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# patchify
+
+
+def _patchify_oracle(x: np.ndarray, p: int) -> np.ndarray:
+    """Index-by-index gather: tile (i, j) holds pixel (i*p + r, j*p + q, ch) in (r, q, ch) order."""
+    b, h, w, c = x.shape
+    out = np.zeros((b, -(-h // p), -(-w // p), p * p * c), dtype=x.dtype)
+    for n, i, j, k in np.ndindex(*out.shape):
+        r, rest = divmod(k, p * c)
+        q, ch = divmod(rest, c)
+        if i * p + r < h and j * p + q < w:  # else a zero of the padding
+            out[n, i, j, k] = x[n, i * p + r, j * p + q, ch]
+    return out
+
+
+@st.composite
+def _patchify_cases(draw):
+    shape = tuple(draw(st.integers(1, n)) for n in (2, 7, 7, 3))  # B, H, W, C
+    patch = draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shape, patch, dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_patchify_cases())
+@example(case=((1, 5, 3, 2), 2, np.float32, 0))  # ragged along both axes
+@example(case=((2, 3, 4, 1), 1, np.float64, 1))  # patch 1 tiles nothing
+def test_patchify_property(case):
+    shape, patch, dtype, seed = case
+    rng = _rng(seed)
+    xd = rng.normal(size=shape).astype(dtype)
+    want = _patchify_oracle(xd, patch)
+    gd = rng.normal(size=want.shape).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    out, records = _taped(T.patchify, (x, patch), gd)
+    assert records == 1
+    npt.assert_array_equal(out.data, want)  # bit-exact, padding exact zeros
+    assert out.dtype == dtype
+    _assert_owned_grads([x], dtype)
+    # the gradient gathers back exactly what the forward scattered
+    for n, i, j, ch in np.ndindex(*shape):
+        k = ((i % patch) * patch + j % patch) * shape[3] + ch
+        assert x.grad[n, i, j, ch] == gd[n, i // patch, j // patch, k]
+    _grad_check64(lambda t: T.patchify(t, patch), (xd,), gd)
+
+
+def test_patchify_bad_arguments():
+    with pytest.raises(DimensionError):
+        T.patchify(Tensor(np.zeros((4, 4, 3))), 2)  # no batch axis
+    with pytest.raises(DimensionError):
+        T.patchify(Tensor(np.zeros((1, 0, 4, 3))), 2)  # empty
+    with pytest.raises(DimensionError):
+        T.patchify(Tensor(np.zeros((1, 4, 4, 3))), 0)  # no patch
+
+
+# ---------------------------------------------------------------------------
+# softmax_cross_entropy
+
+
+@st.composite
+def _logit_cases(draw):
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return n, c, dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_logit_cases())
+def test_softmax_cross_entropy_property(case):
+    n, c, dtype, seed = case
+    rng = _rng(seed)
+    zd = (3.0 * rng.normal(size=(n, c))).astype(dtype)
+    labels = rng.integers(0, c, size=n)
+    gd = rng.normal(size=()).astype(dtype)
+    z = Tensor(zd, requires_grad=True)
+    out, records = _taped(T.softmax_cross_entropy, (z, labels), gd)
+    assert records == 1
+    assert out.shape == () and out.dtype == dtype
+    _assert_owned_grads([z], dtype)
+    _grad_check64(lambda t: T.softmax_cross_entropy(t, labels), (zd,), gd)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +534,29 @@ def test_backward_hands_each_leaf_an_owned_writeable_grad():
 
 def test_backward_copies_a_grad_that_views_another_leafs():
     rng = _rng(9)
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    r = Tensor(rng.normal(size=(2, 3)))
+    a = Tensor(rng.normal(size=(1, 2, 3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 2, 3, 2)), requires_grad=True)
+    r = Tensor(rng.normal(size=(1, 2, 3, 2)))
     with Tape() as tape:
-        loss = T.reduce_sum(T.mul(T.add(a, T.transpose(b)), r))  # b's grad is a.grad.T
+        loss = T.reduce_sum(T.mul(T.add(a, T.patchify(b, 1)), r))  # b's grad views a's
     tape.backward(loss)
     assert not np.shares_memory(a.grad, b.grad)
     npt.assert_array_equal(a.grad, r.data)
-    npt.assert_array_equal(b.grad, r.data.T)
+    npt.assert_array_equal(b.grad, r.data)
     b.grad[:] = 0.0
     npt.assert_array_equal(a.grad, r.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_broadcast_0d_leaf_gets_an_owned_0d_array(dtype):
+    s = Tensor(np.array(2.0, dtype=dtype), requires_grad=True)
+    x = Tensor(np.arange(6, dtype=dtype).reshape(2, 3))
+    with Tape() as tape:
+        loss = T.reduce_mean(T.mul(s, x))  # numpy sums s's gradient to a scalar
+    tape.backward(loss)
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad.dtype == dtype
+    assert s.grad.flags.writeable
+    npt.assert_array_equal(s.grad, 2.5)  # the mean of x
 
 
 def test_tensor_used_twice_accumulates():
