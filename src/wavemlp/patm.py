@@ -8,9 +8,10 @@ channel-FC.
 
 Window weights are indexed by relative offset and shared across positions
 (depthwise-convolution style), so one parameter set serves any input size;
-positions past the boundary contribute exact zeros. Each windowed sum, of the
-real part, of the imaginary part and of the depthwise phase estimator, is one
-fused ``tensor.window_mix`` op.
+positions past the boundary contribute exact zeros. The unfolding and both
+windowed sums, of the real and of the imaginary part, are one fused
+``tensor.wave_mix`` op; the depthwise phase estimator is one
+``tensor.window_mix`` op.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor, add, cos, linear, mul, sin, window_mix
+from .tensor import Tensor, add, linear, wave_mix, window_mix
 
 __all__ = [
     "PhaseMode",
@@ -139,25 +140,16 @@ def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str)
 
 
 def aggregate_tokens(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: str) -> Tensor:
-    """Windowed phase-modulated mixing along one spatial axis.
+    """Windowed phase-modulated mixing along one spatial axis; one ``wave_mix`` op.
 
     out[j] = sum_r wt[r] * (amp*cos(theta))[j+r] + wi[r] * (amp*sin(theta))[j+r]
 
     with r over the centered window (the length of wt and wi, both [odd window,
-    channels], checked by ``window_mix``) and zero padding outside the grid. The
-    weights are per relative offset and per channel; the orthogonal spatial
-    axis and the batch are untouched. Output shape equals input shape.
+    channels]) and zero padding outside the grid; ``wave_mix`` checks the
+    shapes. The weights are per relative offset and per channel; the orthogonal
+    spatial axis and the batch are untouched. Output shape equals input shape.
     """
-    if tuple(amp.shape) != tuple(theta.shape):
-        raise DimensionError(
-            f"amplitude shape {tuple(amp.shape)} != phase shape {tuple(theta.shape)}"
-        )
-    if tuple(wt.shape) != tuple(wi.shape):
-        raise DimensionError(f"wt shape {tuple(wt.shape)} != wi shape {tuple(wi.shape)}")
-    axis_idx = AXIS_INDEX[axis]
-    real = mul(amp, cos(theta))
-    imag = mul(amp, sin(theta))
-    return add(window_mix(real, wt, axis_idx), window_mix(imag, wi, axis_idx))
+    return wave_mix(amp, theta, wt, wi, AXIS_INDEX[axis])
 
 
 def patm_forward(x: Tensor, p: PatmParams) -> Tensor:

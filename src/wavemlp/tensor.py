@@ -30,12 +30,11 @@ __all__ = [
     "layer_norm",
     "add",
     "mul",
-    "cos",
-    "sin",
     "gelu",
     "reduce_sum",
     "reduce_mean",
     "window_mix",
+    "wave_mix",
     "patchify",
     "softmax_cross_entropy",
     "grad_check",
@@ -148,10 +147,9 @@ class Tape:
                 have = grads.get(inp.uid)
                 grads[inp.uid] = gin if have is None else have + gin
         # Only leaves (never an op output) remain keyed; assign once each.
-        # A backward rule may hand one array, or a read-only broadcast view,
-        # to several inputs: copy exactly those, so that every .grad is owned.
-        # A numpy scalar (the gradient of a 0-d input) is read-only too, and
-        # np.array turns it into a writeable 0-d array.
+        # Copy a gradient that is read-only (a broadcast view or a 0-d input's
+        # numpy scalar), already another leaf's, or promoted where two dtypes
+        # met, so that each .grad is writeable, owned and of its leaf's dtype.
         assigned: set[int] = set()
         owners: set[int] = set()  # ids of the buffers already handed to a leaf
         for t in [t for inputs, _, _ in self._records for t in inputs] + [loss]:
@@ -160,8 +158,12 @@ class Tape:
             g = grads.pop(t.uid, None)
             if g is None:
                 g = np.zeros_like(t.data)
-            elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
-                g = np.array(g)
+            elif (
+                g.dtype != t.dtype
+                or not g.flags.writeable
+                or id(g if g.base is None else g.base) in owners
+            ):
+                g = np.array(g, dtype=t.dtype)
             owners.add(id(g if g.base is None else g.base))
             assigned.add(t.uid)
             t.grad = g
@@ -206,7 +208,7 @@ def _operands(a, b, opname: str) -> tuple[Tensor, Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops
+# elementwise ops
 
 
 def add(a, b) -> Tensor:
@@ -228,24 +230,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     _record((a, b), out, backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# unary elementwise ops
-
-
-def cos(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.cos(a.data), a.requires_grad)
-    _record((a,), out, lambda g: (-g * np.sin(a.data),))
-    return out
-
-
-def sin(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.sin(a.data), a.requires_grad)
-    _record((a,), out, lambda g: (g * np.cos(a.data),))
     return out
 
 
@@ -410,6 +394,46 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
+def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
+    """The windowed sum on arrays, after checking w as its weights: (output, g -> (dx, dw)).
+
+    Only the offsets that reach some input position are computed: on an axis
+    narrower than the window the others weight nothing but padding, so their
+    products are skipped and their rows of dw are exact zeros.
+    """
+    (ax,) = _norm_axes(axis, x.ndim, opname)
+    if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != x.shape[-1]:
+        raise DimensionError(
+            f"{opname}: weights {tuple(w.shape)} are not [odd window, {x.shape[-1]} channels]"
+        )
+    half, extent = w.shape[0] // 2, x.shape[ax]
+    offsets = range(max(0, half - extent + 1), min(w.shape[0], half + extent))  # the reach
+    pad = max(0, min(half, extent - 1))  # the farthest any offset in reach looks past an edge
+    lead = (slice(None),) * ax
+    inner = lead + (slice(pad, pad + extent),)
+    padded = np.zeros(x.shape[:ax] + (extent + 2 * pad,) + x.shape[ax + 1 :], dtype=x.dtype)
+    padded[inner] = x
+    # shifts[r] selects, from a padded array, the inputs that w[r] weights
+    shifts = {r: lead + (slice(pad + r - half, pad + r - half + extent),) for r in offsets}
+    if offsets:
+        acc = padded[shifts[offsets[0]]] * w[offsets[0] : offsets[0] + 1]
+        for r in offsets[1:]:
+            acc += padded[shifts[r]] * w[r : r + 1]
+    else:  # an empty axis
+        acc = np.zeros(x.shape, dtype=np.result_type(x, w))
+
+    def adjoint(g):
+        gpad = np.zeros_like(padded)
+        gw = np.zeros_like(w)
+        for r in reversed(offsets):
+            slot = gpad[shifts[r]]
+            slot += g * w[r : r + 1]
+            gw[r : r + 1] = _unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
+        return gpad[inner], gw
+
+    return acc, adjoint
+
+
 def window_mix(x, w, axis: int) -> Tensor:
     """Per-channel windowed sum along one axis, taped as one op.
 
@@ -418,50 +442,40 @@ def window_mix(x, w, axis: int) -> Tensor:
     axis; positions past either edge contribute exact zeros. This is a
     depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
-
-    Only the offsets that reach some input position are computed: on an axis
-    narrower than the window the others weight nothing but padding, so their
-    products are skipped and their rows of dw are exact zeros.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, like=x)
-    (ax,) = _norm_axes(axis, x.ndim, "window_mix")
-    if w.ndim != 2 or w.shape[0] % 2 == 0:
-        raise DimensionError(
-            f"window_mix: weights must be [odd window, channels], got {tuple(w.shape)}"
-        )
-    if w.shape[1] != x.shape[-1]:
-        raise DimensionError(
-            f"window_mix: weights have {w.shape[1]} channels, input has {x.shape[-1]}"
-        )
-    window, extent = w.shape[0], x.shape[ax]
-    half = window // 2
-    offsets = range(max(0, half - extent + 1), min(window, half + extent))  # the reach
-    pad = max(0, min(half, extent - 1))  # the farthest any offset in reach looks past an edge
-    lead = (slice(None),) * ax
-    inner = lead + (slice(pad, pad + extent),)
-    padded = np.zeros(x.shape[:ax] + (extent + 2 * pad,) + x.shape[ax + 1 :], dtype=x.dtype)
-    padded[inner] = x.data
-    # shifts[r] selects, from a padded array, the inputs that w[r] weights
-    shifts = {r: lead + (slice(pad + r - half, pad + r - half + extent),) for r in offsets}
-    if offsets:
-        acc = padded[shifts[offsets[0]]] * w.data[offsets[0] : offsets[0] + 1]
-        for r in offsets[1:]:
-            acc += padded[shifts[r]] * w.data[r : r + 1]
-    else:  # an empty axis
-        acc = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
+    acc, adjoint = _window_sum(x.data, w.data, axis, "window_mix")
     out = Tensor(acc, x.requires_grad or w.requires_grad)
+    _record((x, w), out, adjoint)
+    return out
+
+
+def wave_mix(amp, theta, wt, wi, axis: int) -> Tensor:
+    """Windowed sum of Euler-unfolded waves along one axis, taped as one op.
+
+    out = window_mix(amp*cos(theta), wt) + window_mix(amp*sin(theta), wi), with
+    amp and theta of one shape and wt and wi of one shape. With gr and gi the
+    adjoints of the two sums, damp = gi*sin(theta) + gr*cos(theta), and theta
+    gets (gi*amp)*cos(theta) and -(gr*amp)*sin(theta) as two inputs of the
+    record, so the tape adds them in order with any other gradient of theta.
+    """
+    amp = _as_tensor(amp)
+    theta, wt, wi = (_as_tensor(t, like=amp) for t in (theta, wt, wi))
+    if amp.shape != theta.shape or wt.shape != wi.shape:
+        shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
+        raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
+    c, s = np.cos(theta.data), np.sin(theta.data)
+    real, real_adjoint = _window_sum(amp.data * c, wt.data, axis, "wave_mix")
+    imag, imag_adjoint = _window_sum(amp.data * s, wi.data, axis, "wave_mix")
+    out = Tensor(real + imag, any(t.requires_grad for t in (amp, theta, wt, wi)))
 
     def backward(g):
-        gpad = np.zeros_like(padded)
-        gw = np.zeros_like(w.data)
-        for r in reversed(offsets):
-            slot = gpad[shifts[r]]
-            slot += g * w.data[r : r + 1]
-            gw[r : r + 1] = _unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
-        return gpad[inner], gw
+        gi, dwi = imag_adjoint(g)
+        gr, dwt = real_adjoint(g)
+        return gi * s + gr * c, (gi * amp.data) * c, -(gr * amp.data) * s, dwt, dwi
 
-    _record((x, w), out, backward)
+    _record((amp, theta, theta, wt, wi), out, backward)
     return out
 
 

@@ -11,8 +11,8 @@ term ``a1 + a2*cos(t2 - t1)`` (real part of the rotated sum). A sine there
 does not describe phasor addition; ``oracle_superpose`` is the ground truth
 the implemented form is tested against.
 
-Everything here is plain numpy (no tape); the differentiable mixing path
-builds the same quantities from taped ops in :mod:`wavemlp.patm`.
+Everything here is plain numpy (no tape); the differentiable mixing path of
+:mod:`wavemlp.patm` builds the same quantities in the taped ``tensor.wave_mix``.
 """
 
 from __future__ import annotations
@@ -81,15 +81,14 @@ def _check_amplitudes(a1, a2):
 def superpose_amplitude(a1, a2, t1, t2):
     """Amplitude of ``a1*e^{i*t1} + a2*e^{i*t2}``, elementwise.
 
-    Closed form sqrt(a1^2 + a2^2 + 2*a1*a2*cos(t2 - t1)). The radicand is
-    clamped at zero: it is nonnegative exactly, but float cancellation can
-    push it to about -1e-16 when the waves nearly annihilate.
+    Closed form sqrt(a1^2 + a2^2 + 2*a1*a2*cos(t2 - t1)), with the radicand
+    written as (a1 - a2)^2 + 4*a1*a2*cos^2((t2 - t1)/2): a sum of two
+    nonnegative terms, so it does not cancel when the waves nearly annihilate.
     """
     a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
     t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
     _check_amplitudes(a1, a2)
-    radicand = a1 * a1 + a2 * a2 + 2.0 * a1 * a2 * np.cos(t2 - t1)
-    return np.sqrt(np.maximum(radicand, 0.0))
+    return np.sqrt((a1 - a2) ** 2 + 4.0 * a1 * a2 * np.cos((t2 - t1) / 2.0) ** 2)
 
 
 def superpose_phase(a1, a2, t1, t2):

@@ -153,12 +153,6 @@ def test_layer_norm_bad_affine_shapes():
 # elementwise
 
 
-def test_cos_sin_trivia():
-    x = Tensor([0.0, np.pi / 2, np.pi])
-    npt.assert_allclose(T.cos(x).data, [1.0, 0.0, -1.0], atol=1e-15)
-    npt.assert_allclose(T.sin(x).data, [0.0, 1.0, 0.0], atol=1e-15)
-
-
 def test_gelu_gradient_on_100_random_points():
     rng = _rng(2)
     x = Tensor(rng.normal(size=100), requires_grad=True)
@@ -229,17 +223,12 @@ def test_incompatible_broadcast_raises():
 
 
 @pytest.mark.parametrize(
-    "op,n_args",
-    [
-        (T.add, 2),
-        (T.mul, 2),
-        (T.cos, 1),
-        (T.sin, 1),
-        (T.gelu, 1),
-    ],
+    "op,n_args,seed",
+    [(T.add, 2, 12), (T.mul, 2, 13), (T.gelu, 1, 14)],
+    ids=["add-2", "mul-2", "gelu-1"],
 )
-def test_elementwise_family_gradients(op, n_args):
-    rng = _rng(hash(op.__name__) % 2**31)
+def test_elementwise_family_gradients(op, n_args, seed):
+    rng = _rng(seed)
     xs = [Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(n_args)]
     r = Tensor(rng.normal(size=(3, 4)))
     rep = grad_check(
@@ -381,6 +370,55 @@ def test_window_mix_property(case):
     assert rep.passed, rep
 
 
+# ---------------------------------------------------------------------------
+# wave_mix
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=_window_mix_cases())
+@example(case=((2, 0, 3), 1, 9, np.float64, 0))
+@example(case=((2, 1, 3), 1, 9, np.float32, 1))
+def test_wave_mix_property(case):
+    shape, axis, window, dtype, seed = case
+    rng = _rng(seed)
+    ampd, thd, rd = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+    wtd, wid = (rng.normal(size=(window, shape[-1])).astype(dtype) for _ in range(2))
+    amp, theta, wt, wi = (Tensor(a, requires_grad=True) for a in (ampd, thd, wtd, wid))
+    out, records = _taped(lambda *ts: T.wave_mix(*ts, axis), (amp, theta, wt, wi), rd)
+    assert records == 1
+    c, s = np.cos(thd), np.sin(thd)
+    want = _window_mix_oracle(ampd * c, wtd, axis) + _window_mix_oracle(ampd * s, wid, axis)
+    npt.assert_array_equal(out.data, want)  # bit-exact
+    # gr, gi: the adjoints of the two windowed sums, from window_mix's own backward
+    real, wt_ref = Tensor(ampd * c, requires_grad=True), Tensor(wtd, requires_grad=True)
+    imag, wi_ref = Tensor(ampd * s, requires_grad=True), Tensor(wid, requires_grad=True)
+    _taped(lambda *ts: T.window_mix(*ts, axis), (real, wt_ref), rd)
+    _taped(lambda *ts: T.window_mix(*ts, axis), (imag, wi_ref), rd)
+    gr, gi = real.grad, imag.grad
+    npt.assert_array_equal(amp.grad, gi * s + gr * c)
+    npt.assert_array_equal(theta.grad, (gi * ampd) * c + (-(gr * ampd) * s))
+    npt.assert_array_equal(wt.grad, wt_ref.grad)
+    npt.assert_array_equal(wi.grad, wi_ref.grad)
+    assert out.shape == shape and out.dtype == dtype
+    _assert_owned_grads([amp, theta, wt, wi], dtype)
+    _grad_check64(lambda *ts: T.wave_mix(*ts, axis), (ampd, thd, wtd, wid), rd)
+
+
+def test_wave_mix_bad_arguments():
+    x = Tensor(np.zeros((2, 5, 3)))
+    w = Tensor(np.zeros((3, 3)))
+    with pytest.raises(DimensionError):
+        T.wave_mix(x, Tensor(np.zeros((2, 5, 2))), w, w, 1)  # amp and theta differ
+    with pytest.raises(DimensionError):
+        T.wave_mix(x, x, w, Tensor(np.zeros((5, 3))), 1)  # wt and wi differ
+    with pytest.raises(DimensionError):
+        T.wave_mix(x, x, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), 1)  # even window
+    with pytest.raises(DimensionError):
+        T.wave_mix(x, x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 1)  # channels
+    with pytest.raises(DimensionError):
+        T.wave_mix(x, x, w, w, 3)  # axis out of range
+
+
 def test_aggregate_tokens_tape_length_is_independent_of_window():
     rng = _rng(11)
     amp = Tensor(rng.normal(size=(1, 4, 5, 2)), requires_grad=True)
@@ -392,7 +430,7 @@ def test_aggregate_tokens_tape_length_is_independent_of_window():
         with Tape() as tape:
             aggregate_tokens(amp, theta, wt, wi, "width")
         lengths.append(len(tape))
-    assert lengths == [lengths[0]] * 3, lengths
+    assert lengths == [1, 1, 1], lengths  # one wave_mix record
 
 
 def test_shape_op_gradients():
@@ -557,6 +595,20 @@ def test_broadcast_0d_leaf_gets_an_owned_0d_array(dtype):
     assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad.dtype == dtype
     assert s.grad.flags.writeable
     npt.assert_array_equal(s.grad, 2.5)  # the mean of x
+
+
+def test_f32_leaf_meeting_f64_operands_gets_an_owned_f32_grad():
+    s = Tensor(np.array(2.0, dtype=np.float32), requires_grad=True)
+    w = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))  # float64
+    with Tape() as tape:
+        loss = T.add(T.reduce_mean(T.mul(s, x)), T.reduce_sum(T.linear(x, w)))
+    tape.backward(loss)
+    for t in (s, w):
+        assert t.grad.dtype == np.float32  # numpy promotes the backward's result to float64
+        assert t.grad.flags.writeable and t.grad.flags.owndata
+    npt.assert_array_equal(s.grad, 2.5)
+    npt.assert_array_equal(w.grad, np.tile(x.data.sum(axis=0), (2, 1)))
 
 
 def test_tensor_used_twice_accumulates():

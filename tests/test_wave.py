@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavemlp import wave
 from wavemlp.errors import DimensionError, DomainError, UndefinedPhaseError
@@ -106,6 +108,33 @@ def test_closed_forms_match_oracle_on_mass_random_tuples():
     mask = ora.amplitude > wave.ZERO_AMPLITUDE
     phase_err = _circ_diff(superpose_phase(a1, a2, t1, t2)[mask], ora.phase[mask])
     assert phase_err.max() < 1e-10
+
+
+@st.composite
+def _superposition_cases(draw):
+    """Amplitudes in [0, 10] with ratios from 1e-12 to 1e12, or a pair that nearly cancels."""
+    t1 = draw(st.floats(-4 * np.pi, 4 * np.pi))
+    if draw(st.booleans()):  # a2 = a1 * (1 +- 10^-k) and t2 - t1 = pi +- 10^-k
+        a1, k = draw(st.floats(0, 10 / 1.1)), draw(st.integers(1, 12))
+        a2 = a1 * (1 + draw(st.sampled_from([-1, 1])) * 10.0**-k)
+        return a1, a2, t1, t1 + np.pi + draw(st.sampled_from([-1, 1])) * 10.0**-k
+    big, small = draw(st.floats(0, 10)), 10.0 ** -draw(st.floats(0, 12))
+    a1, a2 = (big, big * small) if draw(st.booleans()) else (big * small, big)
+    return a1, a2, t1, draw(st.floats(-4 * np.pi, 4 * np.pi))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_superposition_cases())
+@example(case=(3.0, 3.0 * (1 + 1e-12), 0.5, 0.5 + np.pi + 1e-12))  # the radicand cancels
+@example(case=(10.0, 1e-11, -2.0, 1.0))
+def test_closed_forms_match_oracle_property(case):
+    a1, a2, t1, t2 = case
+    ora = oracle_superpose(a1, a2, t1, t2)
+    assert abs(float(superpose_amplitude(a1, a2, t1, t2)) - float(ora.amplitude)) < 1e-10
+    # Below 1e-4 of a1 + a2 the phase is ill-conditioned; below ZERO_AMPLITUDE
+    # the oracle reports 0 by convention.
+    if ora.amplitude >= 1e-4 * (a1 + a2) and ora.amplitude > wave.ZERO_AMPLITUDE:
+        assert _circ_diff(superpose_phase(a1, a2, t1, t2), ora.phase) < 1e-10
 
 
 # ---------------------------------------------------------------------------
