@@ -9,21 +9,21 @@ Run: python demos/02_autodiff_gradcheck.py
 import numpy as np
 
 from wavemlp import Tape, Tensor, grad_check
-from wavemlp.tensor import gelu, matmul, mul, reduce_mean, reduce_sum
+from wavemlp.tensor import gelu, linear, mul, reduce_mean, reduce_sum
 
 rng = np.random.default_rng(0)
 
-# forward under a tape, then backpropagate
+# forward under a tape, then backpropagate; linear(x, w) is x @ w.T
 w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 with Tape() as tape:
-    loss = reduce_mean(mul(gelu(matmul(w, x)), gelu(matmul(w, x))))
+    loss = reduce_mean(mul(gelu(linear(x, w)), gelu(linear(x, w))))
 tape.backward(loss)
 print("loss:", float(loss.data))
 print("dL/dw row 0:", w.grad[0])
 
 # grad_check perturbs every input element twice and compares
-report = grad_check(lambda ts: reduce_mean(mul(gelu(matmul(w, x)), gelu(matmul(w, x)))), [w, x])
+report = grad_check(lambda ts: reduce_mean(mul(gelu(linear(x, w)), gelu(linear(x, w)))), [w, x])
 print("finite-difference check:", report)
 
 # a quadratic has gradient 2x; the tape agrees to ~1e-12

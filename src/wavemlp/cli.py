@@ -26,10 +26,9 @@ from .selftest import (
     pilot_task_config,
     run_selftest,
 )
-from .synth import SynthTask, make_dataset
+from .synth import GENERATORS, SynthTask, make_dataset
 from .train import ABLATION_AXES, TrainConfig, ablate, train
 
-PRESET_CHOICES = ["T*", "T", "S", "M", "B", "tiny"]
 FLOP_CONVENTION = "1 MAC = 1 FLOP over matmuls, windowed mixing, and stems; elementwise excluded"
 
 
@@ -54,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("count", help="parameter/FLOP accounting for a preset or config")
-    p.add_argument("--preset", choices=PRESET_CHOICES, default="T")
+    p.add_argument("--preset", choices=M.PRESETS, default="T")
     p.add_argument("--config", help="JSON ArchConfig (overrides --preset)")
     p.add_argument("--res", type=int, default=224, help="square input resolution")
     p.add_argument("--seed", type=int, default=0, help="printed only; counting builds no model")
@@ -65,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("train", help="train a model on a synthetic task")
-    p.add_argument("--preset", choices=PRESET_CHOICES, default="tiny")
+    p.add_argument("--preset", choices=M.PRESETS, default="tiny")
     p.add_argument("--config", help="JSON ArchConfig (overrides --preset)")
-    p.add_argument("--task", choices=["interference", "blobs"], default="interference")
+    p.add_argument("--task", choices=GENERATORS, default="interference")
     p.add_argument("--epochs", type=int, default=None, help="default: committed pilot value")
     p.add_argument("--batch", type=int, default=None, dest="batch_size")
     p.add_argument("--lr", type=float, default=None)
@@ -77,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run one ablation axis, emit its CSV table")
     p.add_argument("--axis", choices=sorted(ABLATION_AXES), required=True)
-    p.add_argument("--task", choices=["interference", "blobs"], default="interference")
+    p.add_argument("--task", choices=GENERATORS, default="interference")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--num-seeds", type=int, default=3)
     _add_common(p)
@@ -172,11 +171,7 @@ def _cmd_train(args) -> int:
     _kv("task", task.name)
     _kv("epochs", tc.epochs)
     _kv("lr", repr(tc.lr))
-    try:
-        _model, hist = train(cfg, task, tc)
-    except WaveMlpError as exc:
-        _kv("error", exc)
-        return 1
+    _model, hist = train(cfg, task, tc)
     _kv("steps", len(hist.loss))
     _kv("final_loss", repr(hist.loss[-1]))
     _kv("final_train_acc", repr(hist.train_acc[-1]))

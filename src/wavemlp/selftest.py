@@ -30,7 +30,7 @@ from .blocks import (
 )
 from .patm import PhaseMode, aggregate_tokens, init_patm, patm_forward
 from .synth import SynthTask
-from .tensor import Tensor, grad_check, linear, matmul, mul, reduce_mean, window_mix
+from .tensor import Tensor, grad_check, linear, mul, reduce_mean, window_mix
 from .train import TrainConfig, train
 
 __all__ = ["CheckResult", "check_config_model", "load_pilot", "run_selftest"]
@@ -128,10 +128,11 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
         rep = grad_check(f, tensors, step=step, tol=tol)
         results.append(CheckResult(f"grad_{name}", rep.passed, f"max_rel_err={rep.max_rel_err:.2e}"))
 
+    # grad_matmul: the one matrix product, a @ w.T
     a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     r = Tensor(rng.normal(size=(4, 3)))
-    run("matmul", lambda ts: reduce_mean(mul(matmul(a, b), r)), [a, b])
+    run("matmul", lambda ts: reduce_mean(mul(linear(a, w), r)), [a, w])
 
     x = Tensor(rng.normal(size=(2, 3, 2, 4)), requires_grad=True)
     scale = Tensor(rng.normal(size=4) + 1.0, requires_grad=True)

@@ -6,8 +6,10 @@ Replaying the records in reverse creation order is backpropagation: creation
 order is a topological order, so every consumer of a value is visited before
 its producer.
 
-Default precision is float64; float32 is accepted for training speed.
-Broadcasting follows numpy's trailing-dimension alignment.
+Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
+over the last axis) is the one matrix product. Default precision is
+float64; float32 is accepted for training speed. Broadcasting follows
+numpy's trailing-dimension alignment.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "GradCheckReport",
-    "matmul",
     "linear",
     "layer_norm",
     "add",
@@ -169,13 +170,6 @@ class Tape:
             t.grad = g
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _record(inputs: Sequence[Tensor], output: Tensor, backward: Callable) -> None:
     if _TAPE_STACK and output.requires_grad:
         _TAPE_STACK[-1].record(inputs, output, backward)
@@ -194,25 +188,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _operands(a, b, opname: str) -> tuple[Tensor, Tensor]:
-    """Both operands as Tensors (a bare number takes the other's dtype) that broadcast."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
+def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
+    """Raise DimensionError unless the shapes of ``a`` and ``b`` broadcast."""
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionError(
             f"{opname}: shapes {tuple(a.shape)} and {tuple(b.shape)} do not broadcast"
         ) from None
-    return a, b
 
 
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b, "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -222,8 +213,8 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b, "mul")
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
@@ -237,9 +228,8 @@ _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(a) -> Tensor:
+def gelu(a: Tensor) -> Tensor:
     """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    a = _as_tensor(a)
     x = a.data
     inner = _GELU_C * (x + _GELU_A * x * x * x)
     t = np.tanh(inner)
@@ -254,41 +244,14 @@ def gelu(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a, b) -> Tensor:
-    """Strict 2-D matrix product. Gradients: dA = g @ B.T, dB = A.T @ g."""
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {tuple(a.shape)} and {tuple(b.shape)}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions differ: {tuple(a.shape)} vs {tuple(b.shape)}"
-        )
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    _record((a, b), out, backward)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # fused per-token layers
 
 
-def linear(x, w) -> Tensor:
+def linear(x: Tensor, w: Tensor) -> Tensor:
     """y = x @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
 
     Gradients: dx = g @ w, dw = (x.T @ g).T, with x and g flattened to 2-D.
     """
-    x = _as_tensor(x)
-    w = _as_tensor(w, like=x)
     if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
             f"linear: weight {tuple(w.shape)} does not map the last axis of {tuple(x.shape)}"
@@ -308,7 +271,7 @@ def linear(x, w) -> Tensor:
     return out
 
 
-def layer_norm(x, scale, shift, eps: float) -> Tensor:
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     """Standardize over the last axis, then scale and shift; taped as one op.
 
     u = (x - mean) / sqrt(var + eps) and y = u * scale + shift, with scale and
@@ -316,9 +279,6 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     gu = g * scale, dx = (gu - mean(gu) - u * mean(gu * u)) / root,
     dscale = sum of g * u and dshift = sum of g over every axis but the last.
     """
-    x = _as_tensor(x)
-    scale = _as_tensor(scale, like=x)
-    shift = _as_tensor(shift, like=x)
     if x.ndim == 0 or scale.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
         raise DimensionError(
             f"layer_norm: scale/shift must be {x.shape[-1:]} for input {tuple(x.shape)}, "
@@ -363,32 +323,26 @@ def _norm_axes(axis, ndim: int, opname: str) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+def reduce_sum(a: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, a.ndim, "reduce_sum")
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims), a.requires_grad)
+    out = Tensor(a.data.sum(axis=axes), a.requires_grad)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes), a.shape),)
 
     _record((a,), out, backward)
     return out
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+def reduce_mean(a: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, a.ndim, "reduce_mean")
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-    out = Tensor(a.data.mean(axis=axes, keepdims=keepdims), a.requires_grad)
+    out = Tensor(a.data.mean(axis=axes), a.requires_grad)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes) / count, a.shape),)
 
     _record((a,), out, backward)
     return out
@@ -434,7 +388,7 @@ def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
     return acc, adjoint
 
 
-def window_mix(x, w, axis: int) -> Tensor:
+def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     """Per-channel windowed sum along one axis, taped as one op.
 
     out[j] = sum_r w[r] * x[j + r - window//2] along ``axis``, where ``w`` is
@@ -443,15 +397,13 @@ def window_mix(x, w, axis: int) -> Tensor:
     depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
-    x = _as_tensor(x)
-    w = _as_tensor(w, like=x)
     acc, adjoint = _window_sum(x.data, w.data, axis, "window_mix")
     out = Tensor(acc, x.requires_grad or w.requires_grad)
     _record((x, w), out, adjoint)
     return out
 
 
-def wave_mix(amp, theta, wt, wi, axis: int) -> Tensor:
+def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> Tensor:
     """Windowed sum of Euler-unfolded waves along one axis, taped as one op.
 
     out = window_mix(amp*cos(theta), wt) + window_mix(amp*sin(theta), wi), with
@@ -460,8 +412,6 @@ def wave_mix(amp, theta, wt, wi, axis: int) -> Tensor:
     gets (gi*amp)*cos(theta) and -(gr*amp)*sin(theta) as two inputs of the
     record, so the tape adds them in order with any other gradient of theta.
     """
-    amp = _as_tensor(amp)
-    theta, wt, wi = (_as_tensor(t, like=amp) for t in (theta, wt, wi))
     if amp.shape != theta.shape or wt.shape != wi.shape:
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
         raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
@@ -479,7 +429,7 @@ def wave_mix(amp, theta, wt, wi, axis: int) -> Tensor:
     return out
 
 
-def patchify(x, patch: int) -> Tensor:
+def patchify(x: Tensor, patch: int) -> Tensor:
     """Tile [B, H, W, C] into non-overlapping patch x patch tiles, taped as one op.
 
     H and W are zero-padded up to the next multiple of ``patch``, so the
@@ -487,7 +437,6 @@ def patchify(x, patch: int) -> Tensor:
     column, channel) order. Backward is the inverse rearrangement of the
     gradient, cropped to the input.
     """
-    x = _as_tensor(x)
     if x.ndim != 4 or x.size == 0 or patch < 1:
         raise DimensionError(f"patchify: cannot tile {tuple(x.shape)} into {patch}x{patch} patches")
     b, h, w, c = x.shape
@@ -517,7 +466,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     Fused op: backward is (softmax - onehot) / batch, which keeps the tape
     short and is exact (verified against finite differences in the tests).
     """
-    logits = _as_tensor(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be 2-D, got {tuple(logits.shape)}")

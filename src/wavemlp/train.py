@@ -54,10 +54,9 @@ class TrainConfig:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         # lr == 0 is allowed: it is the standard no-op training diagnostic.
-        if self.lr < 0:
-            raise ConfigurationError("lr must be >= 0")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.schedule != "cosine":
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if self.batch_size < 1:

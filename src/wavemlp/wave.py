@@ -73,7 +73,10 @@ def canonicalize_phase(theta):
     return np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
 
 
-def _check_amplitudes(a1, a2):
+def _check_domain(a1, a2, t1, t2):
+    """Raise DomainError unless every amplitude and phase is finite and every amplitude >= 0."""
+    if not all(np.isfinite(v).all() for v in (a1, a2, t1, t2)):
+        raise DomainError("superposition amplitudes and phases must be finite")
     if np.any(a1 < 0) or np.any(a2 < 0):
         raise DomainError("superposition amplitudes must be nonnegative")
 
@@ -87,7 +90,7 @@ def superpose_amplitude(a1, a2, t1, t2):
     """
     a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
     t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_amplitudes(a1, a2)
+    _check_domain(a1, a2, t1, t2)
     return np.sqrt((a1 - a2) ** 2 + 4.0 * a1 * a2 * np.cos((t2 - t1) / 2.0) ** 2)
 
 
@@ -98,7 +101,7 @@ def superpose_phase(a1, a2, t1, t2):
     """
     a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
     t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_amplitudes(a1, a2)
+    _check_domain(a1, a2, t1, t2)
     if np.any((a1 == 0) & (a2 == 0)):
         raise UndefinedPhaseError("phase of a zero-amplitude superposition is undefined")
     delta = t2 - t1
@@ -114,7 +117,7 @@ def oracle_superpose(a1, a2, t1, t2) -> Phasor:
     """
     a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
     t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_amplitudes(a1, a2)
+    _check_domain(a1, a2, t1, t2)
     re = a1 * np.cos(t1) + a2 * np.cos(t2)
     im = a1 * np.sin(t1) + a2 * np.sin(t2)
     amplitude = np.hypot(re, im)

@@ -190,6 +190,34 @@ def test_train_writes_history(tmp_path, capsys):
     assert int(out["steps"]) == 8
 
 
+def test_train_numeric_failure_is_reported_on_stderr(tmp_path, capsys):
+    code = main(["train", "--lr", "1e300", "--epochs", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=NumericError")
+    assert "error=" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--lr", "nan"], ["--lr", "inf"], ["--wd", "nan"]], ids=["lr-nan", "lr-inf", "wd-nan"]
+)
+def test_train_non_finite_flag_is_a_typed_error(tmp_path, capsys, flags):
+    code = main(["train", "--epochs", "1", "--out", str(tmp_path)] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ConfigurationError")
+    assert not (tmp_path / "losses.csv").exists()
+
+
+@pytest.mark.parametrize("a1, t2", [("nan", "0"), ("1", "inf")], ids=["a1-nan", "t2-inf"])
+def test_superpose_non_finite_input_is_a_domain_error(capsys, a1, t2):
+    code = main(["superpose", "--a1", a1, "--a2", "1", "--t1", "0", "--t2", t2])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=DomainError")
+    assert "amplitude=" not in captured.out
+
+
 def test_phase_map_command(tmp_path, capsys):
     code = main(["phase-map", "--stage", "4", "--epochs", "1", "--out", str(tmp_path)])
     out = _parse_kv(capsys.readouterr().out)

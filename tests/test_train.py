@@ -153,6 +153,13 @@ def test_training_config_validation():
     TrainConfig(lr=0.0)  # explicitly allowed
 
 
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_training_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_training_is_bit_reproducible():
     task = SynthTask(train_size=64, val_size=16, seed=0)
     tc = TrainConfig(epochs=2, batch_size=32, lr=3e-3, seed=0)

@@ -49,6 +49,17 @@ def test_negative_amplitude_rejected():
         superpose_phase(1.0, -1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("f", [superpose_amplitude, superpose_phase, oracle_superpose])
+@pytest.mark.parametrize(
+    "args",
+    [(np.nan, 1.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0), (1.0, 1.0, np.nan, 0.0), (1.0, 1.0, 0.0, -np.inf)],
+    ids=["a1-nan", "a2-inf", "t1-nan", "t2-inf"],
+)
+def test_non_finite_inputs_rejected(f, args):
+    with pytest.raises(DomainError):
+        f(*args)
+
+
 # ---------------------------------------------------------------------------
 # superpose_phase
 
