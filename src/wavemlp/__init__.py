@@ -26,13 +26,10 @@ from .tensor import Tape, Tensor, grad_check
 from .train import TrainConfig, ablate, cosine_lr, train
 from .wave import (
     Phasor,
-    WaveGrid,
-    absorb_sign,
     canonicalize_phase,
     oracle_superpose,
     superpose_amplitude,
     superpose_phase,
-    unfold,
 )
 
 __version__ = "0.1.0"
@@ -52,10 +49,8 @@ __all__ = [
     "TrainConfig",
     "UndefinedPhaseError",
     "UnsupportedModeError",
-    "WaveGrid",
     "WaveMlpError",
     "ablate",
-    "absorb_sign",
     "build",
     "canonicalize_phase",
     "cosine_lr",
@@ -69,5 +64,4 @@ __all__ = [
     "superpose_amplitude",
     "superpose_phase",
     "train",
-    "unfold",
 ]

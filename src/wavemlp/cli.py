@@ -6,9 +6,9 @@ always printed. ``count`` computes parameters and MACs from the config alone
 and builds no model, so its ``--seed`` is only printed. ``check-grads
 --config`` runs ``selftest.check_config_model`` on the given config. Exit
 codes: 0 success, 1 a check failed, training aborted or an input (config
-file, flag value, environment variable) was malformed, 2 usage error
-(argparse's convention). The WAVEMLP_THREADS environment variable caps
-ablation worker processes (default 1).
+file, flag value such as a negative ``--seed``, environment variable) was
+malformed, 2 usage error (argparse's convention). The WAVEMLP_THREADS
+environment variable caps ablation worker processes (default 1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from . import model as M
 from . import wave
-from .errors import WaveMlpError
+from .errors import ConfigurationError, WaveMlpError
 from .selftest import (
     check_config_model,
     check_gradients,
@@ -240,6 +240,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand has --seed; numpy seeds are >= 0
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except WaveMlpError as exc:
         print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)

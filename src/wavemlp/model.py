@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .blocks import (
     patch_embed,
 )
 from .errors import ConfigurationError, DimensionError, NumericError
-from .patm import DEPTHWISE_KERNEL, PatmParams, PhaseMode, _uniform, channel_fc
+from .patm import DEPTHWISE_KERNEL, PhaseMode, _uniform, channel_fc
 from .tensor import Tensor, add, reduce_mean
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "arch_config_to_dict",
     "build",
     "iter_params",
-    "iter_block",
-    "iter_patm",
     "forward",
     "count_params",
     "count_flops",
@@ -285,35 +283,26 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     return ModelParams(cfg, stems, stages, final_norm, head, head_bias)
 
 
-def iter_patm(p: PatmParams, prefix: str = "patm") -> list[tuple[str, Tensor]]:
-    """(name, tensor) pairs of one mixing module, in the order ``iter_params`` uses."""
-    out = [(f"{prefix}.wc", p.wc)]
-    if p.wtheta is not None:
-        out.append((f"{prefix}.wtheta", p.wtheta))
-    out += [(f"{prefix}.wt", p.wt), (f"{prefix}.wi", p.wi), (f"{prefix}.wout", p.wout)]
-    return out
+def iter_params(node, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """(name, tensor) pairs of every learnable under a params node, in field order.
 
-
-def iter_block(b: BlockParams, prefix: str = "block") -> list[tuple[str, Tensor]]:
-    """(name, tensor) pairs of one block, in the order ``iter_params`` uses."""
-    out = [(f"{prefix}.norm1.scale", b.norm1.scale), (f"{prefix}.norm1.shift", b.norm1.shift)]
-    out += iter_patm(b.patm_h, f"{prefix}.patm_h") + iter_patm(b.patm_w, f"{prefix}.patm_w")
-    out.append((f"{prefix}.branch_fc", b.branch_fc))
-    out += [(f"{prefix}.norm2.scale", b.norm2.scale), (f"{prefix}.norm2.shift", b.norm2.shift)]
-    out += [(f"{prefix}.mlp_fc1", b.mlp_fc1), (f"{prefix}.mlp_fc2", b.mlp_fc2)]
-    return out
-
-
-def iter_params(m: ModelParams) -> list[tuple[str, Tensor]]:
-    """(name, tensor) pairs in a fixed order; the optimizer relies on it."""
-    out: list[tuple[str, Tensor]] = []
-    for i, (stem, blocks) in enumerate(zip(m.stems, m.stages)):
-        out.append((f"stem{i}.weight", stem.weight))
-        for j, b in enumerate(blocks):
-            out += iter_block(b, f"stage{i}.block{j}")
-    out += [("final_norm.scale", m.final_norm.scale), ("final_norm.shift", m.final_norm.shift)]
-    out += [("head.weight", m.head), ("head.bias", m.head_bias)]
-    return out
+    ``node`` is a ``ModelParams``, ``BlockParams``, ``PatmParams``,
+    ``StemParams`` or ``NormParams``. Names are field paths such as
+    ``stems.0.weight``, ``stages.2.0.patm_h.wc`` or ``head_bias``: a list
+    contributes its index, a dataclass its field names. Anything that is not
+    a Tensor, list or dataclass (a config, an axis, a mode, a patch size, a
+    missing ``wtheta``) holds no learnables. The order is fixed (stems,
+    stages, final norm, head, bias for a model); the optimizer relies on it.
+    """
+    if isinstance(node, Tensor):
+        return [(prefix, node)]
+    if isinstance(node, list):
+        items = [(str(i), v) for i, v in enumerate(node)]
+    elif is_dataclass(node):
+        items = [(f.name, getattr(node, f.name)) for f in fields(node)]
+    else:
+        return []
+    return [pair for k, v in items for pair in iter_params(v, f"{prefix}.{k}" if prefix else k)]
 
 
 def _check_finite(x: Tensor, layer: str) -> None:

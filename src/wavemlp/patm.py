@@ -106,7 +106,9 @@ def compute_amplitude(x: Tensor, wc: Tensor) -> Tensor:
     """Token amplitudes via a plain channel-FC; no absolute value is taken.
 
     Negative entries are fine: a sign flip is the same wave with the phase
-    shifted by pi, which the cos/sin mixing handles implicitly.
+    shifted by pi, which the cos/sin mixing handles implicitly
+    (``aggregate_tokens(-a, theta)`` equals ``aggregate_tokens(a, theta + pi)``
+    up to rounding; tests/test_patm.py checks it on generated inputs).
     """
     return channel_fc(x, wc)
 

@@ -147,7 +147,7 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     for mode in PhaseMode:
         p = init_patm(2, 3, "width", mode, np.random.default_rng(seed + 2), static_size=(3, 4))
         xp = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
-        patm_ts = [xp] + [t for _, t in M.iter_patm(p)]
+        patm_ts = [xp] + _tensors(p)
         run(f"patm_{mode.value}", lambda ts: _mean_square(patm_forward(xp, p)), patm_ts)
 
     amp = Tensor(rng.normal(size=(1, 5, 2, 2)), requires_grad=True)
@@ -162,7 +162,7 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
 
     blk2 = init_block(3, 2, 3, PhaseMode.CHANNEL_FC, np.random.default_rng(seed + 3))
     xt = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-    blk2_ts = [xt] + _block_tensors(blk2)
+    blk2_ts = [xt] + _tensors(blk2)
     run("token_mixing_block", lambda ts: _mean_square(token_mixing_forward(xt, blk2)), blk2_ts)
 
     model_ts, loss_fn = _two_block_model(seed + 4)
@@ -182,8 +182,9 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     return results
 
 
-def _block_tensors(b) -> list[Tensor]:
-    return [t for _, t in M.iter_block(b)]
+def _tensors(node) -> list[Tensor]:
+    """The learnables of a params node, in ``iter_params`` order."""
+    return [t for _, t in M.iter_params(node)]
 
 
 def _two_block_model(seed: int):
@@ -195,7 +196,7 @@ def _two_block_model(seed: int):
     b2 = init_block(d, 2, 3, PhaseMode.CHANNEL_FC, rng)
     head = Tensor(rng.uniform(-0.5, 0.5, size=(classes, d)), requires_grad=True)
     x = Tensor(rng.normal(size=(1, 4, 4, 2)), requires_grad=True)
-    tensors = [x, stem.weight] + _block_tensors(b1) + _block_tensors(b2) + [head]
+    tensors = [x, stem.weight] + _tensors(b1) + _tensors(b2) + [head]
 
     def loss_fn(ts):
         y = patch_embed(x, stem)
@@ -216,7 +217,7 @@ def check_config_model(cfg: M.ArchConfig, seed: int = 0, tol: float = 1e-4) -> C
     m = M.build(cfg, seed=seed)
     h, w = cfg.input_size or (8, 8)
     x = Tensor(np.random.default_rng(seed).normal(size=(1, h, w, cfg.input_channels)))
-    tensors = [x] + [t for _, t in M.iter_params(m)]
+    tensors = [x] + _tensors(m)
     rep = grad_check(lambda ts: _mean_square(M.forward(m, x)), tensors, tol=tol)
     return CheckResult("grad_config_model", rep.passed, f"max_rel_err={rep.max_rel_err:.3e}")
 
@@ -246,7 +247,7 @@ def check_variable_resolution(h: int = 64, w: int = 96, seed: int = 0) -> list[C
             ok = (
                 logits.shape == (2, m.config.num_classes)
                 and bool(np.isfinite(logits.data).all())
-                and sum(t.size for _, t in M.iter_params(m)) == n_params
+                and sum(t.size for t in _tensors(m)) == n_params
             )
             detail = f"logits={tuple(logits.shape)} params={n_params}"
         except Exception as exc:  # a failure here is the finding itself

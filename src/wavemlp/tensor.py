@@ -515,9 +515,13 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     evaluations are made in place on ``t.data``, so ``f`` may close over the
     tensors and ignore its argument. The relative error per element is
     ``|analytic - numeric| / max(1, |numeric|)`` (inputs are assumed O(1)).
+    A non-finite analytic or numeric derivative makes that error nan or inf,
+    which fails the check.
     """
-    if step <= 0:
-        raise ContractError("grad_check: step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ContractError(f"grad_check: step must be finite and > 0, got {step!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractError(f"grad_check: tol must be finite and >= 0, got {tol!r}")
     single = isinstance(x, Tensor)
     xs = [x] if single else list(x)
     for t in xs:
@@ -536,7 +540,7 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
 
     per_input = []
     for t, ga in zip(xs, analytic):
-        max_err = 0.0
+        errs = [0.0]
         for idx in np.ndindex(*t.data.shape):
             orig = t.data[idx]
             t.data[idx] = orig + step
@@ -545,9 +549,7 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
             fm = float(evaluate().data)
             t.data[idx] = orig
             numeric = (fp - fm) / (2.0 * step)
-            err = abs(float(ga[idx]) - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
-        per_input.append(max_err)
-    worst = max(per_input) if per_input else 0.0
+            errs.append(abs(float(ga[idx]) - numeric) / max(1.0, abs(numeric)))
+        per_input.append(float(np.max(errs)))  # np.max, unlike max, keeps a nan
+    worst = float(np.max(per_input)) if per_input else 0.0
     return GradCheckReport(worst, tol, worst <= tol, tuple(per_input))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericError
-from .model import ArchConfig, ModelParams, build, count_flops, count_params, forward, iter_params
+from .model import ArchConfig, ModelParams, _ints, build, count_flops, count_params, forward, iter_params
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
 from .tensor import Tape, Tensor, softmax_cross_entropy
@@ -51,16 +51,15 @@ class TrainConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
+        _ints("epochs", self.epochs, 1)
+        _ints("batch_size", self.batch_size, 1)
+        _ints("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
         # lr == 0 is allowed: it is the standard no-op training diagnostic.
         for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         if self.schedule != "cosine":
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if self.precision not in _DTYPES:
             raise ConfigurationError(f"precision must be one of {sorted(_DTYPES)}")
 
@@ -152,13 +151,16 @@ def accuracy(m: ModelParams, x: np.ndarray, y: np.ndarray, batch: int = 256) -> 
     return hits / len(x)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     arch: ArchConfig, task: SynthTask, tc: TrainConfig
 ) -> tuple[ModelParams, History]:
     """Cross-entropy training of ``arch`` on a synthetic task.
 
     Loss is recorded per step, accuracy per epoch. Aborts with NumericError
-    (naming the step) if the loss leaves the finite range.
+    (naming the step, layer or parameter) if a loss, activation or gradient
+    leaves the finite range; numpy's overflow and invalid-value warnings are
+    silenced, since that error is the report.
     """
     dtype = _DTYPES[tc.precision]
     x_train, y_train, x_val, y_val = make_dataset(task)

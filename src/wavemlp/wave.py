@@ -2,8 +2,7 @@
 
 A token element is a wave ``a * exp(i*theta)`` with nonnegative amplitude and
 a phase in radians. This module provides the closed forms for two-wave
-superposition, Euler unfolding into real/imaginary parts, the sign-absorption
-rule that folds negative amplitudes into a pi phase shift, and an independent
+superposition, the canonical phase wrap, and an independent
 complex-arithmetic oracle used to validate the closed forms.
 
 Note on the phase closed form: the second atan2 argument must be the cosine
@@ -11,29 +10,26 @@ term ``a1 + a2*cos(t2 - t1)`` (real part of the rotated sum). A sine there
 does not describe phasor addition; ``oracle_superpose`` is the ground truth
 the implemented form is tested against.
 
-Everything here is plain numpy (no tape); the differentiable mixing path of
-:mod:`wavemlp.patm` builds the same quantities in the taped ``tensor.wave_mix``.
+Everything here is plain numpy (no tape). The Euler unfolding into
+``a*cos(theta)`` and ``a*sin(theta)`` that the model mixes lives in one place,
+the taped ``tensor.wave_mix`` behind :func:`wavemlp.patm.aggregate_tokens`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UndefinedPhaseError
+from .errors import DomainError, UndefinedPhaseError
 
 __all__ = [
     "TWO_PI",
     "Phasor",
-    "WaveGrid",
     "canonicalize_phase",
     "superpose_amplitude",
     "superpose_phase",
     "oracle_superpose",
-    "unfold",
-    "absorb_sign",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -48,22 +44,6 @@ class Phasor(NamedTuple):
 
     amplitude: np.ndarray
     phase: np.ndarray
-
-
-@dataclass
-class WaveGrid:
-    """A token grid in wave form: amplitude and phase arrays of equal shape."""
-
-    amplitude: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self):
-        self.amplitude = np.asarray(self.amplitude, dtype=np.float64)
-        self.phase = np.asarray(self.phase, dtype=np.float64)
-        if self.amplitude.shape != self.phase.shape:
-            raise DimensionError(
-                f"amplitude shape {self.amplitude.shape} != phase shape {self.phase.shape}"
-            )
 
 
 def canonicalize_phase(theta):
@@ -125,24 +105,3 @@ def oracle_superpose(a1, a2, t1, t2) -> Phasor:
     phase = np.where(phase <= -np.pi, phase + TWO_PI, phase)
     phase = np.where(amplitude < ZERO_AMPLITUDE, 0.0, phase)
     return Phasor(amplitude, phase)
-
-
-def unfold(w: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Euler unfolding: (a*cos(theta), a*sin(theta))."""
-    return w.amplitude * np.cos(w.phase), w.amplitude * np.sin(w.phase)
-
-
-def absorb_sign(z, theta) -> WaveGrid:
-    """Fold the sign of a real feature into the phase.
-
-    Where z >= 0 the wave is (z, theta); where z < 0 it is (-z, theta + pi).
-    Output phases are canonical, so `unfold` recovers z*cos(theta),
-    z*sin(theta) exactly up to rounding.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if z.shape != theta.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {theta.shape}")
-    amplitude = np.abs(z)
-    phase = canonicalize_phase(np.where(z < 0, theta + np.pi, theta))
-    return WaveGrid(amplitude, phase)

@@ -15,7 +15,7 @@ from wavemlp.blocks import (
     token_mixing_forward,
 )
 from wavemlp.errors import ConfigurationError, DimensionError
-from wavemlp.model import iter_block
+from wavemlp.model import iter_params
 from wavemlp.patm import PhaseMode, init_patm
 from wavemlp.tensor import Tensor, grad_check, mul, reduce_mean
 
@@ -25,7 +25,7 @@ def _rng(seed=0):
 
 
 def _block_tensors(b: BlockParams):
-    return [t for _, t in iter_block(b)]
+    return [t for _, t in iter_params(b)]
 
 
 def _zero_weights(b: BlockParams):

@@ -1,11 +1,15 @@
 """Command-line interface: flags, key=value output, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wavemlp
 from wavemlp.cli import _build_parser, _train_config, main
 from wavemlp.selftest import load_pilot
 from wavemlp.train import TrainConfig
@@ -207,6 +211,45 @@ def test_train_non_finite_flag_is_a_typed_error(tmp_path, capsys, flags):
     assert code == 1
     assert captured.err.startswith("error=ConfigurationError")
     assert not (tmp_path / "losses.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["check-grads"], ["selftest"], ["phase-map"], ["ablate", "--axis", "window"]],
+    ids=lambda c: c[0],
+)
+def test_negative_seed_is_a_typed_error(capsys, command):
+    code = main(command + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ConfigurationError")
+    assert captured.out == ""
+
+
+def test_check_grads_non_finite_tolerance_is_a_typed_error(capsys):
+    code = main(["check-grads", "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ContractError")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lr", "1e300", "--epochs", "1"], ["--seed", "-1"]],
+    ids=["diverging", "negative-seed"],
+)
+def test_module_entry_point_reports_one_error_line(tmp_path, flags):
+    """``python -m wavemlp``, run as a user would: stderr is the one error= line,
+    with no traceback and no numpy warning ahead of it."""
+    src = os.path.dirname(os.path.dirname(wavemlp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavemlp", "train", "--out", str(tmp_path)] + flags,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error="), proc.stderr
 
 
 @pytest.mark.parametrize("a1, t2", [("nan", "0"), ("1", "inf")], ids=["a1-nan", "t2-inf"])

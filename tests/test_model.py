@@ -79,6 +79,34 @@ def test_build_same_seed_is_bit_identical():
         npt.assert_array_equal(t1.data, t2.data)
 
 
+@pytest.mark.parametrize("window", [3, "all"])
+@pytest.mark.parametrize("mode", list(PhaseMode))
+def test_iter_params_is_exactly_what_a_taped_step_differentiates(mode, window):
+    """The optimizer's list is the set of leaves the tape hands a .grad: no
+    learnable is left out of the walk and no walked tensor is dead."""
+    m = build(preset("tiny", phase_mode=mode, window=window, input_size=(16, 16), dropout=0.1))
+    inputs, outputs = [], set()
+
+    class LeafTape(Tape):
+        def record(self, ins, output, backward):
+            inputs.extend(ins)
+            outputs.add(id(output))
+            super().record(ins, output, backward)
+
+    with LeafTape() as tape:
+        logits = forward(m, _rng(1).normal(size=(2, 16, 16, 3)), rng=_rng(2))
+        loss = softmax_cross_entropy(logits, np.array([0, 3]))
+    tape.backward(loss)
+    leaves = {id(t): t for t in inputs if t.requires_grad and id(t) not in outputs}
+    assert all(t.grad is not None for t in leaves.values())
+    pairs = iter_params(m)
+    names = [n for n, _ in pairs]
+    assert len(set(names)) == len(names)
+    assert len({id(t) for _, t in pairs}) == len(pairs)
+    assert {id(t) for _, t in pairs} == set(leaves)
+    assert names[0] == "stems.0.weight" and names[-3:] == ["final_norm.shift", "head", "head_bias"]
+
+
 def test_invalid_configs_rejected():
     good = dict(stages=[StageSpec(8, 1, 2), StageSpec(16, 1, 2), StageSpec(24, 1, 2), StageSpec(32, 1, 2)])
     ArchConfig(**good)

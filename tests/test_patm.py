@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemlp.errors import ConfigurationError, DimensionError
 from wavemlp.patm import (
@@ -196,6 +198,25 @@ def test_phase_shift_by_two_pi_is_invariant():
     a = aggregate_tokens(amp, Tensor(theta), wt, wi, "width").data
     b = aggregate_tokens(amp, Tensor(theta + 2 * np.pi), wt, wi, "width").data
     npt.assert_allclose(a, b, atol=1e-10)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 6)] * 4),
+    window=st.sampled_from([1, 3, 5, 7, 9]),
+    axis=st.sampled_from(["height", "width"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_negated_amplitude_is_a_pi_phase_shift(shape, window, axis, seed):
+    """Sign absorption on the real mixer: a wave -a*e^{i*theta} is a*e^{i*(theta+pi)},
+    so compute_amplitude may hand aggregate_tokens negative amplitudes."""
+    rng = _rng(seed)
+    amp = rng.normal(size=shape)
+    theta = rng.uniform(-7, 7, shape)
+    wt, wi = (Tensor(rng.normal(size=(window, shape[3]))) for _ in range(2))
+    negated = aggregate_tokens(Tensor(-amp), Tensor(theta), wt, wi, axis).data
+    shifted = aggregate_tokens(Tensor(amp), Tensor(theta + np.pi), wt, wi, axis).data
+    npt.assert_allclose(negated, shifted, rtol=0, atol=1e-12)
 
 
 def test_classical_phases_equal_token_fc_on_signed_amplitudes():

@@ -633,6 +633,47 @@ def test_grad_check_detects_wrong_backward_rule():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_grad_check_fails_on_a_non_finite_backward(bad):
+    from wavemlp.tensor import _record
+
+    def broken(t):
+        out = Tensor(t.data * 2.0, t.requires_grad)
+        _record((t,), out, lambda g: (np.full_like(g, bad),))
+        return out
+
+    x = Tensor(_rng(10).normal(size=4), requires_grad=True)
+    rep = grad_check(lambda t: T.reduce_sum(broken(t)), x)
+    assert not rep.passed and not np.isfinite(rep.max_rel_err), rep
+    assert "nan" in str(rep) or "inf" in str(rep)
+
+
+def test_grad_check_fails_on_a_non_finite_numeric_derivative():
+    """f is 0 at the point and nan beside it: the analytic derivative (0) is
+    finite, the central difference is nan."""
+    from wavemlp.tensor import _record
+
+    def spike(t):
+        out = Tensor(np.where(t.data == 0.0, 0.0, np.nan), t.requires_grad)
+        _record((t,), out, lambda g: (np.zeros_like(g),))
+        return out
+
+    x = Tensor(np.zeros(2), requires_grad=True)
+    rep = grad_check(lambda t: T.reduce_sum(spike(t)), x)
+    assert not rep.passed and np.isnan(rep.max_rel_err), rep
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"step": np.nan}, {"step": np.inf}, {"step": -1e-5}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}],
+    ids=["step-nan", "step-inf", "step-negative", "tol-nan", "tol-inf", "tol-negative"],
+)
+def test_grad_check_rejects_a_bad_step_or_tolerance(kwargs):
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError):
+        grad_check(lambda t: T.reduce_sum(T.mul(t, t)), x, **kwargs)
+
+
 def test_grad_check_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -150,6 +151,9 @@ def test_training_config_validation():
         TrainConfig(schedule="step")
     with pytest.raises(ConfigurationError):
         TrainConfig(precision="f16")
+    for seed in (-1, 1.5, True, "0"):  # numpy seeds from ints >= 0 only
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=seed)
     TrainConfig(lr=0.0)  # explicitly allowed
 
 
@@ -158,6 +162,16 @@ def test_training_config_validation():
 def test_training_config_rejects_non_finite(field, value):
     with pytest.raises(ConfigurationError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_diverging_training_raises_without_numpy_warnings():
+    """The typed NumericError is the whole report: no RuntimeWarning precedes it."""
+    task = SynthTask(name="interference", seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError):
+            train(preset("tiny"), task, TrainConfig(epochs=1, lr=1e300))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_training_is_bit_reproducible():

@@ -7,15 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavemlp import wave
-from wavemlp.errors import DimensionError, DomainError, UndefinedPhaseError
+from wavemlp.errors import DomainError, UndefinedPhaseError
 from wavemlp.wave import (
-    WaveGrid,
-    absorb_sign,
     canonicalize_phase,
     oracle_superpose,
     superpose_amplitude,
     superpose_phase,
-    unfold,
 )
 
 
@@ -186,51 +183,6 @@ def test_classical_special_case_signed_addition():
     ph = superpose_phase(a1[mask], a2[mask], t1[mask], t2[mask])
     want = np.where(signed_sum[mask] >= 0, 0.0, np.pi)
     assert _circ_diff(ph, want).max() < 1e-7
-
-
-# ---------------------------------------------------------------------------
-# unfold / absorb_sign
-
-
-def test_unfold_trivia():
-    re, im = unfold(WaveGrid(np.array(1.0), np.array(0.0)))
-    assert (float(re), float(im)) == (1.0, 0.0)
-    re, im = unfold(WaveGrid(np.array(2.0), np.array(np.pi / 2)))
-    assert float(re) == pytest.approx(0.0, abs=1e-15)
-    assert float(im) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_unfold_roundtrip():
-    rng = np.random.default_rng(4)
-    g = WaveGrid(rng.uniform(0.1, 5, (6, 7)), rng.uniform(-np.pi, np.pi, (6, 7)))
-    re, im = unfold(g)
-    npt.assert_allclose(np.hypot(re, im), g.amplitude, atol=1e-12)
-    assert _circ_diff(np.arctan2(im, re), g.phase).max() < 1e-12
-
-
-def test_wavegrid_shape_mismatch():
-    with pytest.raises(DimensionError):
-        WaveGrid(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-def test_absorb_sign_stated_rule():
-    w = absorb_sign(np.array(-3.0), np.array(0.0))
-    assert float(w.amplitude) == 3.0
-    assert float(w.phase) == pytest.approx(np.pi, abs=1e-15)
-    w = absorb_sign(np.array(3.0), np.array(1.2))
-    assert float(w.amplitude) == 3.0
-    assert float(w.phase) == pytest.approx(1.2, abs=1e-15)
-
-
-def test_absorb_sign_complex_equality_oracle():
-    """z * e^{i theta} must equal |z| * e^{i (theta + pi [z<0])} elementwise."""
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=(8, 9))
-    theta = rng.uniform(-7, 7, (8, 9))
-    re, im = unfold(absorb_sign(z, theta))
-    npt.assert_allclose(re, z * np.cos(theta), atol=1e-12)
-    npt.assert_allclose(im, z * np.sin(theta), atol=1e-12)
-    assert np.all(absorb_sign(z, theta).amplitude >= 0)
 
 
 def test_canonicalize_boundaries():
