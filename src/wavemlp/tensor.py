@@ -229,15 +229,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    Both passes run in place, in the closed forms' operation order; the record
+    keeps x and the tanh, and backward recomputes 1 + tanh.
+    """
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x * x * x)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t), a.requires_grad)
+    t = np.multiply(x, _GELU_A, out=np.empty_like(x))
+    t *= x
+    t *= x
+    t += x
+    np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
+    y = np.multiply(x, 0.5, out=np.empty_like(x))
+    y *= np.add(t, 1.0, out=np.empty_like(x))
+    out = Tensor(y, a.requires_grad)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
+        d, h = np.empty_like(x), np.multiply(x, 0.5, out=np.empty_like(x))
+        h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
+        np.multiply(x, 3.0 * _GELU_A, out=d)
+        d *= x
+        d += 1.0
+        h *= np.multiply(d, _GELU_C, out=d)
+        np.multiply(np.add(t, 1.0, out=d), 0.5, out=d)
+        d += h
+        return (np.multiply(g, d, out=d if g.dtype == d.dtype else None),)
 
     _record((a,), out, backward)
     return out
@@ -250,7 +267,7 @@ def gelu(a: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """y = x @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
 
-    Gradients: dx = g @ w, dw = (x.T @ g).T, with x and g flattened to 2-D.
+    Gradients: dx = g @ w and dw = g.T @ x (C-ordered, like w), x and g flattened to 2-D.
     """
     if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
@@ -264,7 +281,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, c_out)
         dx = (g2 @ w.data).reshape(x.shape) if x.requires_grad else None
-        dw = (x2.T @ g2).T if w.requires_grad else None
+        dw = g2.T @ x2 if w.requires_grad else None
         return dx, dw
 
     _record((x, w), out, backward)
@@ -415,10 +432,15 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     if amp.shape != theta.shape or wt.shape != wi.shape:
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
         raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
+    requires_grad = any(t.requires_grad for t in (amp, theta, wt, wi))
+    if not (_TAPE_STACK and requires_grad):  # untaped: free each term once it is summed
+        real = _window_sum(amp.data * np.cos(theta.data), wt.data, axis, "wave_mix")[0]
+        imag = _window_sum(amp.data * np.sin(theta.data), wi.data, axis, "wave_mix")[0]
+        return Tensor(real + imag, requires_grad)
     c, s = np.cos(theta.data), np.sin(theta.data)
     real, real_adjoint = _window_sum(amp.data * c, wt.data, axis, "wave_mix")
     imag, imag_adjoint = _window_sum(amp.data * s, wi.data, axis, "wave_mix")
-    out = Tensor(real + imag, any(t.requires_grad for t in (amp, theta, wt, wi)))
+    out = Tensor(real + imag, requires_grad)
 
     def backward(g):
         gi, dwi = imag_adjoint(g)

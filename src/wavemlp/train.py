@@ -8,6 +8,7 @@ generators, so repeating a run reproduces the loss history bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -58,6 +59,11 @@ class TrainConfig:
         for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0")
+        pair = isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
+        if not (pair and all(isinstance(x, numbers.Real) and 0 <= x < 1 for x in self.betas)):
+            raise ConfigurationError(f"betas must be a pair of numbers in [0, 1), got {self.betas!r}")
+        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < math.inf):
+            raise ConfigurationError(f"eps must be finite and > 0, got {self.eps!r}")
         if self.schedule != "cosine":
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if self.precision not in _DTYPES:
@@ -73,14 +79,35 @@ def cosine_lr(t: int, total: int, lr0: float) -> float:
     return lr0 * (1.0 + math.cos(math.pi * t / total)) / 2.0
 
 
+_CHUNK = 1 << 16  # elements per pass of adamw_step: few enough to stay in cache
+
+
 @dataclass
 class AdamWState:
+    """Moments ``m`` and ``v``: per-parameter views of the two rows of ``moments``."""
+
     m: list[np.ndarray]
     v: list[np.ndarray]
+    moments: np.ndarray = field(repr=False)
+    # per chunk, its pieces (i, a, b, s): elements a:b of parameter i at offset s
+    chunks: list[list[tuple[int, int, int, int]]] = field(repr=False)
+    scratch: np.ndarray = field(repr=False)  # a chunk's p, g and one temporary
 
 
 def adamw_init(params: list[np.ndarray]) -> AdamWState:
-    return AdamWState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    """Zero moments in two flat buffers of the one dtype that ``params`` share."""
+    dtypes = {p.dtype for p in params} or {np.dtype(np.float64)}
+    if len(dtypes) > 1:
+        raise ContractError(f"adamw_init: parameters mix dtypes {sorted(d.name for d in dtypes)}")
+    starts = np.cumsum([0] + [p.size for p in params]).tolist()
+    moments = np.zeros((2, starts[-1]), dtypes.pop())
+    m, v = ([row[o : o + p.size].reshape(p.shape) for o, p in zip(starts, params)] for row in moments)
+    chunks = [[] for _ in range(0, starts[-1], _CHUNK)]
+    for i, (o, p) in enumerate(zip(starts, params)):
+        for c in range(o // _CHUNK, -(-(o + p.size) // _CHUNK)):  # the chunks p overlaps
+            a, b = max(o, c * _CHUNK), min(o + p.size, (c + 1) * _CHUNK)
+            chunks[c].append((i, a - o, b - o, a - c * _CHUNK))
+    return AdamWState(m, v, moments, chunks, np.empty((3, min(starts[-1], _CHUNK)), moments.dtype))
 
 
 def adamw_step(
@@ -94,27 +121,42 @@ def adamw_step(
     """One decoupled-weight-decay Adam update, in place.
 
     Decay multiplies each parameter by (1 - lr*wd) before the bias-corrected
-    Adam step, so zero gradients still shrink weights when wd > 0.
+    Adam step, so zero gradients still shrink weights when wd > 0. Chunks of
+    the flat moments are updated in turn, each element with a per-tensor
+    loop's operations in order, in the parameters' dtype (the scalars act as
+    Python floats). Parameters are C-contiguous; gradients match their shapes and dtype.
     """
     if t < 1:
         raise ContractError("adamw_step: t counts from 1")
-    if len(params) != len(grads):
-        raise ContractError("params and grads differ in length")
-    lr = cfg.lr if lr is None else lr
-    b1, b2 = cfg.betas
+    if not len(params) == len(grads) == len(state.m):
+        raise ContractError("params, grads and the AdamW state differ in length")
+    for i, (p, g, m) in enumerate(zip(params, grads, state.m)):
+        same = p.shape == g.shape == m.shape and p.dtype == g.dtype == m.dtype
+        if not (same and p.flags.c_contiguous):
+            raise ContractError(f"adamw_step: parameter {i} does not match its gradient or state")
+    lr, b1, b2, eps = map(float, (cfg.lr if lr is None else lr, *cfg.betas, cfg.eps))
     decay = 1.0 - lr * cfg.weight_decay
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    pf, gf = [p.reshape(-1) for p in params], [g.reshape(-1) for g in grads]  # pf: views
+    for c, pieces in enumerate(state.chunks):
+        m, v = state.moments[:, c * _CHUNK : (c + 1) * _CHUNK]
+        p, g, tmp = state.scratch[:, : m.size]
+        for i, a, b, s in pieces:
+            p[s : s + b - a], g[s : s + b - a] = pf[i][a:b], gf[i][a:b]
         if not np.isfinite(g).all():
+            i = next(i for i, a, b, _ in pieces if not np.isfinite(gf[i][a:b]).all())
             raise NumericError(f"non-finite gradient in parameter {i} at step {t}")
-        m, v = state.m[i], state.v[i]
         p *= decay
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in g's row: g is spent
+        np.multiply(np.divide(m, c1, out=g), lr, out=g)
+        np.add(np.sqrt(np.divide(v, c2, out=tmp), out=tmp), eps, out=tmp)
+        p -= np.divide(g, tmp, out=g)
+        for i, a, b, s in pieces:
+            pf[i][a:b] = p[s : s + b - a]
 
 
 @dataclass

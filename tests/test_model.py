@@ -26,6 +26,7 @@ from wavemlp.model import (
 )
 from wavemlp.patm import DEPTHWISE_KERNEL, PhaseMode
 from wavemlp.tensor import Tape, Tensor, softmax_cross_entropy
+from wavemlp.train import TrainConfig, adamw_init, adamw_step
 
 
 def _rng(seed=0):
@@ -177,7 +178,7 @@ def test_forward_reports_nonfinite_layer():
 
 @pytest.mark.parametrize("mode", list(PhaseMode))
 def test_f32_stays_f32_through_a_taped_step(mode):
-    """Forward, loss and backward of an f32 model never upcast to f64."""
+    """Forward, loss, backward and an AdamW step of an f32 model never upcast to f64."""
     cfg = preset("tiny", phase_mode=mode, window=3, input_size=(16, 16), dropout=0.1)
     m = build(cfg, seed=0, dtype=np.float32)
     images = Tensor(_rng(5).normal(size=(2, 16, 16, 3)).astype(np.float32), requires_grad=True)
@@ -194,6 +195,10 @@ def test_f32_stays_f32_through_a_taped_step(mode):
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
     leaves = [images] + [t for _, t in iter_params(m)]
     assert {t.grad.dtype for t in leaves} == {np.dtype(np.float32)}
+    raw = [t.data for t in leaves[1:]]
+    state = adamw_init(raw)
+    adamw_step(raw, [t.grad for t in leaves[1:]], state, 1, TrainConfig())
+    assert {a.dtype for a in raw + state.m + state.v} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------

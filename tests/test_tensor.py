@@ -1,5 +1,7 @@
 """Tensor core: op semantics, tape correctness, and the grad-check harness."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -69,6 +71,7 @@ def test_linear_property(case):
     npt.assert_array_equal(out.data, (x2 @ wd.T).reshape(lead + (c_out,)))  # bit-exact
     npt.assert_array_equal(x.grad, (g2 @ wd).reshape(xd.shape))
     npt.assert_array_equal(w.grad, (x2.T @ g2).T)
+    assert w.grad.flags.c_contiguous  # laid out like w, so AdamW reads it without a copy
     assert out.dtype == x.grad.dtype == w.grad.dtype == dtype
 
     x64, w64 = Tensor(xd.astype(np.float64)), Tensor(wd.astype(np.float64))
@@ -172,17 +175,25 @@ def _unary_cases(draw):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(case=_unary_cases())
-def test_gelu_property(case):
+@given(case=_unary_cases(), upstream64=st.booleans())
+@example(case=((), np.float32, 0), upstream64=True)
+@example(case=((), np.float64, 1), upstream64=False)
+def test_gelu_property(case, upstream64):
     shape, dtype, seed = case
     rng = _rng(seed)
     xd = (2.0 * rng.normal(size=shape)).astype(dtype)
-    gd = rng.normal(size=shape).astype(dtype)
+    gd = rng.normal(size=shape).astype(np.float64 if upstream64 else dtype)
     x = Tensor(xd, requires_grad=True)
     out, records = _taped(T.gelu, (x,), gd)
     assert records == 1
     assert out.shape == shape and out.dtype == dtype
     _assert_owned_grads([x], dtype)
+    # bit-equal to the closed forms evaluated term by term
+    t = np.tanh(T._GELU_C * (xd + T._GELU_A * xd * xd * xd))
+    npt.assert_array_equal(out.data, 0.5 * xd * (1.0 + t))
+    dinner = T._GELU_C * (1.0 + 3.0 * T._GELU_A * xd * xd)
+    dx = gd * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner)
+    npt.assert_array_equal(x.grad, np.asarray(dx, dtype=dtype))
     _grad_check64(T.gelu, (xd,), gd)
 
 
@@ -371,6 +382,26 @@ def test_wave_mix_property(case):
     assert out.shape == shape and out.dtype == dtype
     _assert_owned_grads([amp, theta, wt, wi], dtype)
     _grad_check64(lambda *ts: T.wave_mix(*ts, axis), (ampd, thd, wtd, wid), rd)
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_untaped_wave_mix_frees_each_term_once_summed(axis):
+    """Untaped, the peak is at most 6x the amplitude's bytes, and the result is the taped one."""
+    rng = _rng(axis)
+    amp, theta = (Tensor(rng.normal(size=(1, 56, 56, 64))) for _ in range(2))
+    wt, wi = (Tensor(rng.normal(size=(7, 64)), requires_grad=True) for _ in range(2))
+    tracemalloc.start()
+    try:
+        out = T.wave_mix(amp, theta, wt, wi, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * amp.data.nbytes, peak / amp.data.nbytes
+    with Tape() as tape:
+        taped = T.wave_mix(amp, theta, wt, wi, axis)
+    assert len(tape) == 1
+    npt.assert_array_equal(out.data, taped.data)
+    assert out.requires_grad
 
 
 def test_wave_mix_bad_arguments():

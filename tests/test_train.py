@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavemlp.errors import ConfigurationError, ContractError, NumericError
 from wavemlp.model import build, iter_params, preset
+from wavemlp.selftest import load_pilot, pilot_task_config
 from wavemlp.synth import SynthTask, make_dataset
 from wavemlp.train import (
     ABLATION_AXES,
@@ -70,9 +73,95 @@ def test_adamw_rejects_non_finite_grads_and_bad_t():
 
 def test_adamw_state_shapes():
     p = [np.zeros((2, 3)), np.zeros(5)]
-    st = adamw_init(p)
-    assert isinstance(st, AdamWState)
-    assert st.m[0].shape == (2, 3) and st.v[1].shape == (5,)
+    state = adamw_init(p)
+    assert isinstance(state, AdamWState)
+    assert state.m[0].shape == (2, 3) and state.v[1].shape == (5,)
+    assert all(np.shares_memory(a, state.moments[0]) for a in state.m)
+    assert all(np.shares_memory(a, state.moments[1]) for a in state.v)
+
+
+def _adamw_oracle(params, grads, ms, vs, t, cfg, lr):
+    """The per-tensor AdamW loop that the chunked ``adamw_step`` replaces."""
+    b1, b2 = cfg.betas
+    decay = 1.0 - lr * cfg.weight_decay
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        p *= decay
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+
+
+# sizes 1, 2**16 - 1, 2**16 and 2**16 + 1 put parameter edges on both sides of a chunk edge
+_ADAMW_SHAPES = [(), (1,), (3, 5), (2, 3, 4), (65535,), (255, 257), (256, 256), (65537,), (1, 65537)]
+
+
+def _gradient(rng, shape, dtype, layout):
+    g = rng.normal(size=shape).astype(dtype)
+    if layout == "F":
+        return np.array(g, order="F")
+    if layout == "strided":
+        held = np.empty(shape + (2,), dtype)
+        held[..., 0] = g
+        return held[..., 0]
+    return g
+
+
+@st.composite
+def _adamw_cases(draw):
+    few_large = st.lists(st.sampled_from(_ADAMW_SHAPES), min_size=1, max_size=5)
+    many_tiny = st.lists(st.sampled_from([(), (1,), (2,), (3, 1)]), min_size=20, max_size=80)
+    shapes = draw(st.one_of(few_large, many_tiny))
+    layouts = draw(st.lists(st.sampled_from(["C", "F", "strided"]), min_size=len(shapes), max_size=len(shapes)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    lrs = draw(st.lists(st.floats(0.0, 0.1), min_size=1, max_size=3))
+    wd = draw(st.sampled_from([0.0, 0.05]))
+    bad = draw(st.none() | st.tuples(st.integers(0, len(shapes) - 1), st.sampled_from([np.nan, np.inf])))
+    return shapes, layouts, dtype, lrs, wd, bad, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=_adamw_cases())
+@example(case=([(1,), (65535,), (256, 256), (65537,), (3, 5)], ["C", "F", "F", "strided", "F"],
+               np.float32, [0.01, 0.005, 0.001], 0.05, None, 0))
+@example(case=([(2, 3, 4), (65535,), (1,)], ["F", "C", "C"], np.float64, [0.01], 0.05, (2, np.nan), 1))
+def test_adamw_step_matches_the_per_tensor_loop(case):
+    """Params, m and v stay bit-equal to the per-tensor loop over several steps."""
+    shapes, layouts, dtype, lrs, wd, bad, seed = case
+    rng = _rng(seed)
+    params = [rng.normal(size=s).astype(dtype) for s in shapes]
+    ref = [p.copy() for p in params]
+    ref_m, ref_v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    cfg = TrainConfig(weight_decay=wd)
+    state = adamw_init(params)
+    for t, lr in enumerate(lrs, start=1):
+        grads = [_gradient(rng, s, dtype, lay) for s, lay in zip(shapes, layouts)]
+        if bad is not None and t == len(lrs):
+            i, value = bad
+            grads[i][np.unravel_index(rng.integers(grads[i].size), shapes[i])] = value
+            with pytest.raises(NumericError, match=f"parameter {i} at step {t}"):
+                adamw_step(params, grads, state, t, cfg, lr=lr)
+            return
+        adamw_step(params, grads, state, t, cfg, lr=lr)
+        _adamw_oracle(ref, grads, ref_m, ref_v, t, cfg, lr)
+        for got, want in zip(params + state.m + state.v, ref + ref_m + ref_v):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            npt.assert_array_equal(got, want)
+
+
+def test_adamw_rejects_mixed_dtypes_and_mismatched_gradients():
+    with pytest.raises(ContractError, match="mix dtypes"):
+        adamw_init([np.zeros(2, np.float32), np.zeros(2)])
+    p = [np.zeros(2, np.float32)]
+    for g in (np.zeros(2), np.zeros(3, np.float32)):  # wrong dtype, wrong shape
+        with pytest.raises(ContractError, match="parameter 0"):
+            adamw_step(p, [g], adamw_init(p), 1, TrainConfig())
+    with pytest.raises(ContractError, match="parameter 0"):
+        f = [np.zeros((2, 3), order="F")]
+        adamw_step(f, [np.zeros((2, 3))], adamw_init(f), 1, TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +244,33 @@ def test_training_config_validation():
         with pytest.raises(ConfigurationError, match="seed"):
             TrainConfig(seed=seed)
     TrainConfig(lr=0.0)  # explicitly allowed
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"betas": (1.0, 0.999)},  # bias correction 1 - b1**t is 0
+        {"betas": (0.9, float("nan"))},
+        {"betas": (0.9, -0.1)},
+        {"betas": (0.9,)},
+        {"betas": ("0.9", 0.999)},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"eps": -1e-8},
+        {"eps": 0.0},
+    ],
+    ids=["b1-one", "b2-nan", "b2-negative", "one-beta", "str-beta", "eps-nan", "eps-inf", "eps-negative", "eps-zero"],
+)
+def test_training_config_rejects_bad_betas_and_eps(changes):
+    with pytest.raises(ConfigurationError, match=next(iter(changes))):
+        TrainConfig(**changes)
+
+
+def test_training_config_loads_the_pilot_betas_list():
+    doc = load_pilot()["train"]
+    assert doc["betas"] == [0.9, 0.999]
+    assert TrainConfig(**doc).betas == [0.9, 0.999]
+    assert pilot_task_config()[1].betas == (0.9, 0.999)
 
 
 @pytest.mark.parametrize("field", ["lr", "weight_decay"])
