@@ -114,11 +114,8 @@ def patch_embed(x: Tensor, s: StemParams) -> Tensor:
     return channel_fc(patchify(x, s.patch), s.weight)
 
 
-def _norm_params(d: int, dtype) -> NormParams:
-    return NormParams(
-        Tensor(np.ones(d, dtype=dtype), requires_grad=True),
-        Tensor(np.zeros(d, dtype=dtype), requires_grad=True),
-    )
+def _norm_params(d: int) -> NormParams:
+    return NormParams(Tensor(np.ones(d), requires_grad=True), Tensor(np.zeros(d), requires_grad=True))
 
 
 def init_block(
@@ -128,21 +125,16 @@ def init_block(
     phase_mode: PhaseMode,
     rng: np.random.Generator,
     static_size: tuple[int, int] | None = None,
-    dtype=np.float64,
 ) -> BlockParams:
-    """Draw one block's parameters in a fixed order."""
-    patm_h = init_patm(d, window, "height", phase_mode, rng, static_size, dtype)
-    patm_w = init_patm(d, window, "width", phase_mode, rng, static_size, dtype)
-    branch_fc = _uniform(rng, (d, d), d, dtype)
-    mlp_fc1 = _uniform(rng, (expansion * d, d), d, dtype)
-    mlp_fc2 = _uniform(rng, (d, expansion * d), expansion * d, dtype)
-    return BlockParams(
-        patm_h, patm_w, branch_fc, mlp_fc1, mlp_fc2, _norm_params(d, dtype), _norm_params(d, dtype)
-    )
+    """Draw one block's float64 parameters in a fixed order."""
+    patm_h = init_patm(d, window, "height", phase_mode, rng, static_size)
+    patm_w = init_patm(d, window, "width", phase_mode, rng, static_size)
+    branch_fc = _uniform(rng, (d, d), d)
+    mlp_fc1 = _uniform(rng, (expansion * d, d), d)
+    mlp_fc2 = _uniform(rng, (d, expansion * d), expansion * d)
+    return BlockParams(patm_h, patm_w, branch_fc, mlp_fc1, mlp_fc2, _norm_params(d), _norm_params(d))
 
 
-def init_stem(
-    patch: int, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float64
-) -> StemParams:
+def init_stem(patch: int, c_in: int, c_out: int, rng: np.random.Generator) -> StemParams:
     fan_in = patch * patch * c_in
-    return StemParams(patch, _uniform(rng, (c_out, fan_in), fan_in, dtype))
+    return StemParams(patch, _uniform(rng, (c_out, fan_in), fan_in))

@@ -199,12 +199,13 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_phase_map(args) -> int:
-    from .phasemap import export_phase_map
+    from .phasemap import check_window, export_phase_map
 
     _kv("seed", args.seed)
-    task, tc_full = pilot_task_config()
-    tc = dataclasses.replace(tc_full, epochs=args.epochs, seed=args.seed)
-    model, hist = train(M.preset("tiny"), task, tc)
+    if args.window is not None:
+        check_window(args.window)  # before training, not after it
+    task = pilot_task_config()[0]
+    model, hist = train(M.preset("tiny"), task, _train_config(args))
     _kv("final_val_acc", repr(hist.val_acc[-1]))
     image = make_dataset(task)[0][0]
     csv_path, pgm_path = export_phase_map(model, image, args.stage, args.out, window=args.window)

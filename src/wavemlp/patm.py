@@ -162,9 +162,9 @@ def patm_forward(x: Tensor, p: PatmParams) -> Tensor:
     return channel_fc(mixed, p.wout)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
+def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def init_patm(
@@ -174,26 +174,22 @@ def init_patm(
     phase_mode: PhaseMode,
     rng: np.random.Generator,
     static_size: tuple[int, int] | None = None,
-    dtype=np.float64,
 ) -> PatmParams:
-    """Draw fresh parameters; draw order is fixed so seeds are reproducible."""
+    """Draw fresh float64 parameters; draw order is fixed so seeds are reproducible."""
     phase_mode = PhaseMode(phase_mode)
-    wc = _uniform(rng, (d, d), d, dtype)
+    wc = _uniform(rng, (d, d), d)
     if phase_mode is PhaseMode.CHANNEL_FC:
-        wtheta = _uniform(rng, (d, d), d, dtype)
+        wtheta = _uniform(rng, (d, d), d)
     elif phase_mode is PhaseMode.DEPTHWISE:
-        wtheta = _uniform(rng, (DEPTHWISE_KERNEL, d), DEPTHWISE_KERNEL, dtype)
+        wtheta = _uniform(rng, (DEPTHWISE_KERNEL, d), DEPTHWISE_KERNEL)
     elif phase_mode is PhaseMode.STATIC:
         if static_size is None:
             raise ConfigurationError("static phase mode needs the stage grid size")
         h, w = static_size
-        wtheta = Tensor(
-            rng.uniform(-math.pi, math.pi, size=(h, w, d)).astype(dtype),
-            requires_grad=True,
-        )
+        wtheta = Tensor(rng.uniform(-math.pi, math.pi, size=(h, w, d)), requires_grad=True)
     else:
         wtheta = None
-    wt = _uniform(rng, (window, d), window, dtype)
-    wi = _uniform(rng, (window, d), window, dtype)
-    wout = _uniform(rng, (d, d), d, dtype)
+    wt = _uniform(rng, (window, d), window)
+    wi = _uniform(rng, (window, d), window)
+    wout = _uniform(rng, (d, d), d)
     return PatmParams(wc, wtheta, wt, wi, wout, axis, phase_mode)

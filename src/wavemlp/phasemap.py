@@ -17,13 +17,14 @@ import os
 
 import numpy as np
 
-from .blocks import block_forward, normalize, patch_embed
+from .blocks import normalize
 from .errors import ConfigurationError, ContractError, UnsupportedModeError
-from .model import ModelParams
+from .model import ModelParams, stage_walk
 from .patm import estimate_phase
 from .tensor import Tensor
 
 __all__ = [
+    "check_window",
     "phase_grid",
     "phase_difference_map",
     "export_phase_map",
@@ -35,7 +36,8 @@ __all__ = [
 
 def phase_grid(m: ModelParams, image: np.ndarray, stage: int) -> np.ndarray:
     """Phases [H, W, d] the first block of ``stage`` (1-indexed, 3 or 4)
-    estimates for one image, taken from its height-axis mixing module."""
+    estimates for one image, taken from its height-axis mixing module; a
+    non-finite layer on ``model.stage_walk``'s way there raises NumericError."""
     if stage not in (3, 4):
         raise ConfigurationError(f"phase maps are exported for stages 3 or 4, got {stage}")
     if not m.config.phase_mode.dynamic:
@@ -43,21 +45,22 @@ def phase_grid(m: ModelParams, image: np.ndarray, stage: int) -> np.ndarray:
             f"phase mode {m.config.phase_mode.value!r} has no input-dependent phases to map"
         )
     x = Tensor(np.asarray(image, dtype=m.head.dtype)[None])
-    for i in range(stage - 1):
-        x = patch_embed(x, m.stems[i])
-        for b in m.stages[i]:
-            x = block_forward(x, b)
-    x = patch_embed(x, m.stems[stage - 1])
+    x = stage_walk(x, m.stems[:stage], m.stages[: stage - 1] + [[]])
     block = m.stages[stage - 1][0]
     n = normalize(x, block.norm1.scale, block.norm1.shift)
     theta = estimate_phase(n, block.patm_h.phase_mode, block.patm_h.wtheta, "height")
     return np.asarray(theta.data[0], dtype=np.float64)
 
 
-def phase_difference_map(theta: np.ndarray, window: int) -> np.ndarray:
-    """Tile mean-over-channels cos(theta_j - theta_k) patches into one array."""
+def check_window(window: int) -> None:
+    """ConfigurationError unless ``window`` is an odd map window >= 1."""
     if window < 1 or window % 2 == 0:
         raise ConfigurationError(f"window must be odd and positive, got {window}")
+
+
+def phase_difference_map(theta: np.ndarray, window: int) -> np.ndarray:
+    """Tile mean-over-channels cos(theta_j - theta_k) patches into one array."""
+    check_window(window)
     h, w, _d = theta.shape
     half = window // 2
     out = np.zeros((h * window, w * window))

@@ -20,7 +20,6 @@ import numpy as np
 from . import model as M
 from . import wave
 from .blocks import (
-    block_forward,
     channel_mlp_forward,
     init_block,
     init_stem,
@@ -199,10 +198,7 @@ def _two_block_model(seed: int):
     tensors = [x, stem.weight] + _tensors(b1) + _tensors(b2) + [head]
 
     def loss_fn(ts):
-        y = patch_embed(x, stem)
-        y = block_forward(y, b1)
-        y = block_forward(y, b2)
-        pooled = reduce_mean(y, axis=(1, 2))
+        pooled = reduce_mean(M.stage_walk(x, [stem], [[b1, b2]]), axis=(1, 2))
         return _mean_square(linear(pooled, head))
 
     return tensors, loss_fn

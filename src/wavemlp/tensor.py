@@ -7,9 +7,10 @@ order is a topological order, so every consumer of a value is visited before
 its producer.
 
 Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
-over the last axis) is the one matrix product. Default precision is
-float64; float32 is accepted for training speed. Broadcasting follows
-numpy's trailing-dimension alignment.
+over the last axis) is the one matrix product. A Tensor keeps float32 or
+float64 data as given and turns any other data into float64; it takes no
+dtype of its own, since ``model.build`` alone sets a model's precision.
+Broadcasting follows numpy's trailing-dimension alignment.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "uid")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, ContractError, NumericError
 from .model import ArchConfig, ModelParams, _ints, build, count_flops, count_params, forward, iter_params
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
-from .tensor import Tape, Tensor, softmax_cross_entropy
+from .tensor import Tape, softmax_cross_entropy
 
 __all__ = [
     "TrainConfig",
@@ -204,12 +204,8 @@ def train(
     leaves the finite range; numpy's overflow and invalid-value warnings are
     silenced, since that error is the report.
     """
-    dtype = _DTYPES[tc.precision]
     x_train, y_train, x_val, y_val = make_dataset(task)
-    x_train = x_train.astype(dtype)
-    x_val = x_val.astype(dtype)
-
-    model = build(arch, seed=tc.seed, dtype=dtype)
+    model = build(arch, seed=tc.seed, dtype=_DTYPES[tc.precision])
     params = [t for _, t in iter_params(model)]
     raw = [t.data for t in params]
     state = adamw_init(raw)
@@ -224,10 +220,9 @@ def train(
         order = batch_rng.permutation(len(x_train))
         for lo in range(0, len(x_train), tc.batch_size):
             idx = order[lo : lo + tc.batch_size]
-            xb = Tensor(x_train[idx])
             lr_t = cosine_lr(step, total_steps, tc.lr)
             with Tape() as tape:
-                logits = forward(model, xb, rng=dropout_rng)
+                logits = forward(model, x_train[idx], rng=dropout_rng)
                 loss = softmax_cross_entropy(logits, y_train[idx])
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):

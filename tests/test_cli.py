@@ -11,6 +11,7 @@ import pytest
 
 import wavemlp
 from wavemlp.cli import _build_parser, _train_config, main
+from wavemlp.errors import NumericError
 from wavemlp.selftest import load_pilot
 from wavemlp.train import TrainConfig
 
@@ -268,6 +269,31 @@ def test_phase_map_command(tmp_path, capsys):
     vals = np.loadtxt(out["csv"], delimiter=",", ndmin=2)
     assert vals.min() >= -1.0 and vals.max() <= 1.0
     assert (tmp_path / "phase_map_stage4.pgm").exists()
+
+
+@pytest.mark.parametrize("window", ["0", "4"])
+def test_phase_map_checks_window_before_training(tmp_path, capsys, monkeypatch, window):
+    def no_training(*args):
+        raise AssertionError("phase-map trained before checking --window")
+
+    monkeypatch.setattr("wavemlp.cli.train", no_training)
+    code = main(["phase-map", "--window", window, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ConfigurationError")
+    assert not any(tmp_path.iterdir())
+
+
+def test_phase_map_trains_the_pilot_recipe_with_seed_and_epochs(monkeypatch):
+    configs = []
+
+    def record(arch, task, tc):
+        configs.append(tc)
+        raise NumericError("stop before training")
+
+    monkeypatch.setattr("wavemlp.cli.train", record)
+    assert main(["phase-map", "--seed", "7", "--epochs", "2"]) == 1
+    assert configs == [_committed_train_config(seed=7, epochs=2)]
 
 
 def test_check_grads_command(capsys):

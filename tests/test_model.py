@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavemlp.blocks import init_block, init_stem
 from wavemlp.errors import ConfigurationError, DimensionError
 from wavemlp.model import (
     REFERENCE_BUDGETS,
@@ -24,7 +25,7 @@ from wavemlp.model import (
     preset,
     stage_resolutions,
 )
-from wavemlp.patm import DEPTHWISE_KERNEL, PhaseMode
+from wavemlp.patm import DEPTHWISE_KERNEL, PhaseMode, init_patm
 from wavemlp.tensor import Tape, Tensor, softmax_cross_entropy
 from wavemlp.train import TrainConfig, adamw_init, adamw_step
 
@@ -172,7 +173,7 @@ def test_forward_reports_nonfinite_layer():
 
     m = build(preset("tiny"), seed=0)
     m.stages[1][0].mlp_fc1.data[0, 0] = np.inf
-    with pytest.raises(NumericError, match="stage1.block0"):
+    with pytest.raises(NumericError, match=r"after stages\.1\.0$"):
         forward(m, np.ones((1, 16, 16, 3)))
 
 
@@ -288,6 +289,28 @@ def test_pure_counts_equal_those_of_the_built_model(cfg, h, w):
     m = build(cfg, seed=0)
     assert count_params(cfg) == _built_size(m)
     assert count_flops(cfg, h, w) == count_flops(m, h, w) == _macs_by_term(m, h, w)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cfg=_small_configs(), seed=st.integers(0, 2**32 - 1))
+def test_build_f32_is_the_f64_build_cast(cfg, seed):
+    """``build`` alone sets the precision: an f32 build is the f64 draw, cast."""
+    named32, named64 = iter_params(build(cfg, seed, np.float32)), iter_params(build(cfg, seed))
+    assert [n for n, _ in named32] == [n for n, _ in named64]
+    for (_, t32), (_, t64) in zip(named32, named64):
+        assert t32.dtype == np.float32 and t64.dtype == np.float64 and t32.requires_grad
+        npt.assert_array_equal(t32.data, t64.data.astype(np.float32))
+
+
+@pytest.mark.parametrize("mode", list(PhaseMode))
+def test_init_helpers_draw_f64(mode):
+    rng = _rng(7)
+    nodes = [
+        init_stem(2, 3, 4, rng),
+        init_block(4, 2, 3, mode, rng, static_size=(2, 3)),
+        init_patm(4, 5, "width", mode, rng, static_size=(2, 3)),
+    ]
+    assert {t.dtype for node in nodes for _, t in iter_params(node)} == {np.dtype(np.float64)}
 
 
 def test_param_count_independent_of_seed_and_resolution():

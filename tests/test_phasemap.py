@@ -3,10 +3,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavemlp.errors import ConfigurationError, ContractError, UnsupportedModeError
+from wavemlp.blocks import block_forward, normalize, patch_embed
+from wavemlp.errors import ConfigurationError, ContractError, NumericError, UnsupportedModeError
 from wavemlp.model import build, preset
+from wavemlp.patm import PhaseMode, estimate_phase
 from wavemlp.phasemap import (
+    check_window,
     export_phase_map,
     phase_difference_map,
     phase_grid,
@@ -14,6 +19,7 @@ from wavemlp.phasemap import (
     read_phase_map_csv,
     write_pgm,
 )
+from wavemlp.tensor import Tensor
 
 
 def _rng(seed=0):
@@ -30,6 +36,57 @@ def test_phase_grid_shapes():
     theta4 = phase_grid(m, _image(), 4)
     assert theta3.shape == (2, 2, 24)
     assert theta4.shape == (1, 1, 32)
+
+
+def _phase_grid_oracle(m, image, stage):
+    """The phase grid by a walk of its own over the stems and blocks."""
+    x = Tensor(np.asarray(image, dtype=m.head.dtype)[None])
+    for i in range(stage - 1):
+        x = patch_embed(x, m.stems[i])
+        for b in m.stages[i]:
+            x = block_forward(x, b)
+    x = patch_embed(x, m.stems[stage - 1])
+    block = m.stages[stage - 1][0]
+    n = normalize(x, block.norm1.scale, block.norm1.shift)
+    theta = estimate_phase(n, block.patm_h.phase_mode, block.patm_h.wtheta, "height")
+    return np.asarray(theta.data[0], dtype=np.float64)
+
+
+@pytest.mark.parametrize("window", [1, 3, 7, "all"])
+@pytest.mark.parametrize("mode", [PhaseMode.CHANNEL_FC, PhaseMode.DEPTHWISE, PhaseMode.IDENTITY])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+    size=st.tuples(st.integers(8, 40), st.integers(8, 40)),
+)
+def test_phase_grid_equals_its_own_walk(mode, window, dtype, seed, size):
+    cfg = preset("tiny", phase_mode=mode, window=window, input_size=(16, 16))
+    m = build(cfg, seed=seed, dtype=dtype)
+    image = _rng(seed).normal(size=size + (3,))
+    for stage in (3, 4):
+        got, want = phase_grid(m, image, stage), _phase_grid_oracle(m, image, stage)
+        assert got.dtype == want.dtype == np.float64
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "plant, stage, layer",
+    [
+        (lambda m: m.stems[0].weight, 3, "stems.0"),
+        (lambda m: m.stages[1][0].mlp_fc1, 3, "stages.1.0"),
+        (lambda m: m.stems[3].weight, 4, "stems.3"),
+        (lambda m: m.stages[2][0].patm_w.wout, 4, "stages.2.0"),
+    ],
+    ids=["stem0-stage3", "block1-stage3", "stem3-stage4", "block2-stage4"],
+)
+@np.errstate(all="ignore")
+def test_phase_grid_names_a_non_finite_layer(plant, stage, layer):
+    m = build(preset("tiny"), seed=0)
+    plant(m).data[0, 0] = np.inf
+    assert not np.isfinite(_phase_grid_oracle(m, _image(), stage)).all()  # a walk without the gate
+    with pytest.raises(NumericError, match=f"after {layer}$"):
+        phase_grid(m, _image(), stage)
 
 
 def test_phase_grid_rejects_static_and_none_modes():
@@ -160,3 +217,9 @@ def test_read_pgm_rejects_what_write_pgm_never_writes(tmp_path, content):
 def test_map_rejects_even_window():
     with pytest.raises(ConfigurationError):
         phase_difference_map(np.zeros((2, 2, 3)), 4)
+
+
+@pytest.mark.parametrize("window", [0, 4, -1])
+def test_check_window_rejects_even_and_non_positive(window):
+    with pytest.raises(ConfigurationError):
+        check_window(window)

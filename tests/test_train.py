@@ -3,6 +3,7 @@
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -315,11 +316,11 @@ def test_history_csv_round_trip(tmp_path):
     tc = TrainConfig(epochs=1, batch_size=32, lr=3e-3, seed=0)
     _m, hist = train(preset("tiny"), task, tc)
     losses, accs = hist.save(str(tmp_path))
-    rows = open(losses).read().splitlines()
+    rows = Path(losses).read_text().splitlines()
     assert rows[0] == "step,loss,lr"
     step, loss, lr = rows[1].split(",")
     assert float(loss) == hist.loss[0] and float(lr) == hist.lr[0]
-    arows = open(accs).read().splitlines()
+    arows = Path(accs).read_text().splitlines()
     assert arows[0] == "epoch,train_acc,val_acc"
     assert float(arows[1].split(",")[2]) == hist.val_acc[0]
 
@@ -372,7 +373,7 @@ def test_ablate_phase_mode_rows_and_reproducibility(tmp_path):
     again = ablate("phase_mode", task, _quick_tc(), seeds=(0, 1, 2))
     assert table.csv_text() == again.csv_text()  # bit-for-bit CSV equality
     path = table.save(str(tmp_path))
-    assert open(path).read() == table.csv_text()
+    assert Path(path).read_text() == table.csv_text()
     header = table.csv_text().splitlines()[0]
     assert header == "setting,params,flops,mean_val_acc,sd_val_acc,per_seed_val_acc"
 
