@@ -263,8 +263,10 @@ class ModelParams:
 
 
 def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
-    """Deterministic initialization: one seed, one fixed draw order. Each stem,
-    block and the head is drawn in float64 and cast to ``dtype`` at once."""
+    """Deterministic initialization: one seed, one fixed draw order. Each stem, block and
+    the head is drawn in float64 and cast at once to ``dtype``, float32 or float64."""
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ConfigurationError(f"a model is float32 or float64, got dtype {np.dtype(dtype).name}")
     rng = np.random.default_rng(seed)
 
     def cast(node):

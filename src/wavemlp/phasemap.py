@@ -21,7 +21,7 @@ from .blocks import normalize
 from .errors import ConfigurationError, ContractError, UnsupportedModeError
 from .model import ModelParams, stage_walk
 from .patm import estimate_phase
-from .tensor import Tensor
+from .tensor import Tensor, window_spans
 
 __all__ = [
     "check_window",
@@ -62,17 +62,11 @@ def phase_difference_map(theta: np.ndarray, window: int) -> np.ndarray:
     """Tile mean-over-channels cos(theta_j - theta_k) patches into one array."""
     check_window(window)
     h, w, _d = theta.shape
-    half = window // 2
     out = np.zeros((h * window, w * window))
-    for di in range(-half, half + 1):
-        for dj in range(-half, half + 1):
-            # tokens (i, j) whose neighbour (i + di, j + dj) lies on the grid
-            i0, i1 = max(0, -di), min(h, h - di)
-            j0, j1 = max(0, -dj), min(w, w - dj)
-            if i0 < i1 and j0 < j1:
-                diff = theta[i0:i1, j0:j1] - theta[i0 + di : i1 + di, j0 + dj : j1 + dj]
-                cells = out[half + di :: window, half + dj :: window]
-                cells[i0:i1, j0:j1] = np.cos(diff).mean(axis=-1)
+    for ri, rows, rows_src in window_spans(h, window):
+        for rj, cols, cols_src in window_spans(w, window):
+            diff = theta[rows, cols] - theta[rows_src, cols_src]
+            out[ri::window, rj::window][rows, cols] = np.cos(diff).mean(axis=-1)
     return out
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "gelu",
     "reduce_sum",
     "reduce_mean",
+    "window_spans",
     "window_mix",
     "wave_mix",
     "patchify",
@@ -366,42 +367,42 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     return out
 
 
+def window_spans(n: int, window: int) -> list[tuple[int, slice, slice]]:
+    """(r, dst, src) per offset r of an odd ``window`` centered on an axis of extent n: with
+    d = r - window//2, output j in ``dst`` pairs with input j + d in ``src``. Positions past
+    either edge count as zero, so offsets that see only those are left out."""
+    spans = []
+    for r in range(window):
+        d = r - window // 2
+        if abs(d) < n:
+            spans.append((r, slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))))
+    return spans
+
+
 def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
     """The windowed sum on arrays, after checking w as its weights: (output, g -> (dx, dw)).
-
-    Only the offsets that reach some input position are computed: on an axis
-    narrower than the window the others weight nothing but padding, so their
-    products are skipped and their rows of dw are exact zeros.
-    """
+    The rows of dw of offsets that ``window_spans`` leaves out are exact zeros."""
     (ax,) = _norm_axes(axis, x.ndim, opname)
     if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
             f"{opname}: weights {tuple(w.shape)} are not [odd window, {x.shape[-1]} channels]"
         )
-    half, extent = w.shape[0] // 2, x.shape[ax]
-    offsets = range(max(0, half - extent + 1), min(w.shape[0], half + extent))  # the reach
-    pad = max(0, min(half, extent - 1))  # the farthest any offset in reach looks past an edge
     lead = (slice(None),) * ax
-    inner = lead + (slice(pad, pad + extent),)
-    padded = np.zeros(x.shape[:ax] + (extent + 2 * pad,) + x.shape[ax + 1 :], dtype=x.dtype)
-    padded[inner] = x
-    # shifts[r] selects, from a padded array, the inputs that w[r] weights
-    shifts = {r: lead + (slice(pad + r - half, pad + r - half + extent),) for r in offsets}
-    if offsets:
-        acc = padded[shifts[offsets[0]]] * w[offsets[0] : offsets[0] + 1]
-        for r in offsets[1:]:
-            acc += padded[shifts[r]] * w[r : r + 1]
-    else:  # an empty axis
-        acc = np.zeros(x.shape, dtype=np.result_type(x, w))
+    acc, spans = np.zeros(x.shape, dtype=np.result_type(x, w)), []
+    for r, dst, src in window_spans(x.shape[ax], w.shape[0]):
+        wr = w[r : r + 1, dst if ax == x.ndim - 1 else slice(None)]  # channels follow the output
+        dst, src = lead + (dst,), lead + (src,)
+        acc[dst] += x[src] * wr
+        spans.append((r, wr, dst, src))
 
     def adjoint(g):
-        gpad = np.zeros_like(padded)
-        gw = np.zeros_like(w)
-        for r in reversed(offsets):
-            slot = gpad[shifts[r]]
-            slot += g * w[r : r + 1]
-            gw[r : r + 1] = _unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
-        return gpad[inner], gw
+        gx, gw = np.zeros_like(x), np.zeros_like(w)
+        for r, wr, dst, src in reversed(spans):
+            gx[src] += g[dst] * wr
+            gxs = np.zeros(g.shape, np.result_type(g, x))  # a fixed shape fixes numpy's sum order
+            np.multiply(g[dst], x[src], out=gxs[dst])
+            gw[r : r + 1] = _unbroadcast(gxs, (1, w.shape[1]))
+        return gx, gw
 
     return acc, adjoint
 

@@ -302,6 +302,22 @@ def test_build_f32_is_the_f64_build_cast(cfg, seed):
         npt.assert_array_equal(t32.data, t64.data.astype(np.float32))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float16, np.complex128])
+def test_build_rejects_a_dtype_other_than_f32_or_f64(dtype):
+    with pytest.raises(ConfigurationError, match="float32 or float64"):
+        build(preset("tiny"), 0, dtype)
+
+
+@pytest.mark.parametrize("name, res, batch, records", [("tiny", 16, 64, 84), ("T", 64, 1, 192)])
+def test_a_taped_step_makes_a_fixed_number_of_records(name, res, batch, records):
+    """The pilot's step (tiny, B=64, 16x16) and a T step at 64: one record per fused op."""
+    m = build(preset(name), seed=0)
+    images = _rng(1).normal(size=(batch, res, res, 3))
+    with Tape() as tape:
+        softmax_cross_entropy(forward(m, images), np.zeros(batch, dtype=np.int64))
+    assert len(tape) == records
+
+
 @pytest.mark.parametrize("mode", list(PhaseMode))
 def test_init_helpers_draw_f64(mode):
     rng = _rng(7)

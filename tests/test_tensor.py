@@ -284,6 +284,52 @@ def _window_mix_oracle(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _padded_window_sum_oracle(x: np.ndarray, w: np.ndarray, axis: int):
+    """A zero-padded copy of x, summed one offset at a time: (output, g -> (dx, dw)).
+
+    Only the offsets that reach some input position are computed; dw sums
+    g * x over the whole output, padding included.
+    """
+    ax = axis % x.ndim
+    half, extent = w.shape[0] // 2, x.shape[ax]
+    offsets = range(max(0, half - extent + 1), min(w.shape[0], half + extent))
+    pad = max(0, min(half, extent - 1))
+    lead = (slice(None),) * ax
+    inner = lead + (slice(pad, pad + extent),)
+    padded = np.zeros(x.shape[:ax] + (extent + 2 * pad,) + x.shape[ax + 1 :], dtype=x.dtype)
+    padded[inner] = x
+    shifts = {r: lead + (slice(pad + r - half, pad + r - half + extent),) for r in offsets}
+    if offsets:
+        acc = padded[shifts[offsets[0]]] * w[offsets[0] : offsets[0] + 1]
+        for r in offsets[1:]:
+            acc += padded[shifts[r]] * w[r : r + 1]
+    else:
+        acc = np.zeros(x.shape, dtype=np.result_type(x, w))
+
+    def adjoint(g):
+        gpad = np.zeros_like(padded)
+        gw = np.zeros_like(w)
+        for r in reversed(offsets):
+            slot = gpad[shifts[r]]
+            slot += g * w[r : r + 1]
+            gw[r : r + 1] = T._unbroadcast(g * padded[shifts[r]], (1, w.shape[1]))
+        return gpad[inner], gw
+
+    return acc, adjoint
+
+
+def test_window_spans_pair_each_output_with_its_input():
+    for n in range(6):
+        for window in (1, 3, 5, 9, 13):
+            spans = T.window_spans(n, window)
+            half = window // 2
+            assert [r for r, _, _ in spans] == [r for r in range(window) if abs(r - half) < n]
+            for r, dst, src in spans:
+                d = r - half
+                pairs = [(j, j + d) for j in range(n) if 0 <= j + d < n]  # every on-grid pair
+                assert list(zip(range(n)[dst], range(n)[src])) == pairs
+
+
 def test_window_mix_matches_gather_oracle():
     rng = _rng(3)
     x = rng.normal(size=(2, 11, 3))
@@ -320,15 +366,17 @@ def _window_mix_cases(draw):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(case=_window_mix_cases())
-@example(case=((2, 0, 3), 1, 9, np.float64, 0))
-@example(case=((2, 1, 3), 1, 9, np.float32, 1))
-def test_window_mix_property(case):
+@given(case=_window_mix_cases(), upstream64=st.booleans())
+@example(case=((2, 0, 3), 1, 9, np.float64, 0), upstream64=False)
+@example(case=((2, 1, 3), 1, 9, np.float32, 1), upstream64=True)
+@example(case=((2, 4, 1, 2), 3, 3, np.float64, 0), upstream64=True)  # dw on the channel axis
+@example(case=((2, 4, 1, 1), 0, 5, np.float64, 0), upstream64=True)  # dw of one channel
+def test_window_mix_property(case, upstream64):
     shape, axis, window, dtype, seed = case
     rng = _rng(seed)
     xd = rng.normal(size=shape).astype(dtype)
     wd = rng.normal(size=(window, shape[-1])).astype(dtype)
-    rd = rng.normal(size=shape).astype(dtype)
+    rd = rng.normal(size=shape).astype(np.float64 if upstream64 else dtype)
     x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
     with Tape() as tape:
         out = T.window_mix(x, w, axis)
@@ -337,6 +385,13 @@ def test_window_mix_property(case):
     tape.backward(loss)
     npt.assert_array_equal(out.data, _window_mix_oracle(xd, wd, axis))
     assert out.shape == shape and out.dtype == x.grad.dtype == w.grad.dtype == dtype
+    # bit-equal, in value and dtype, to the zero-padded sum, adjoint included
+    want, adjoint = _padded_window_sum_oracle(xd, wd, axis)
+    npt.assert_array_equal(out.data, want)
+    dx, dw = adjoint(rd.astype(np.result_type(dtype, rd)))  # the upstream mul hands over rd
+    npt.assert_array_equal(x.grad, dx)
+    npt.assert_array_equal(w.grad, dw)
+    assert dx.dtype == dw.dtype == dtype
     half, extent = window // 2, shape[axis]
     unreached = [r for r in range(window) if abs(r - half) >= extent]  # weights only padding
     npt.assert_array_equal(w.grad[unreached], 0.0)  # exact zeros
@@ -386,7 +441,7 @@ def test_wave_mix_property(case):
 
 @pytest.mark.parametrize("axis", [1, 2])
 def test_untaped_wave_mix_frees_each_term_once_summed(axis):
-    """Untaped, the peak is at most 6x the amplitude's bytes, and the result is the taped one."""
+    """Untaped, the peak is at most 4.5x the amplitude's bytes, and the result is the taped one."""
     rng = _rng(axis)
     amp, theta = (Tensor(rng.normal(size=(1, 56, 56, 64))) for _ in range(2))
     wt, wi = (Tensor(rng.normal(size=(7, 64)), requires_grad=True) for _ in range(2))
@@ -396,12 +451,29 @@ def test_untaped_wave_mix_frees_each_term_once_summed(axis):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * amp.data.nbytes, peak / amp.data.nbytes
+    assert peak <= 4.5 * amp.data.nbytes, peak / amp.data.nbytes
     with Tape() as tape:
         taped = T.wave_mix(amp, theta, wt, wi, axis)
     assert len(tape) == 1
     npt.assert_array_equal(out.data, taped.data)
     assert out.requires_grad
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_taped_wave_mix_holds_the_terms_not_a_padded_copy(axis):
+    """Taped at the pilot's first-stage shape, the tape holds at most 5.5x the amplitude's bytes."""
+    rng = _rng(axis)
+    amp, theta = (Tensor(rng.normal(size=(64, 4, 4, 16)), requires_grad=True) for _ in range(2))
+    wt, wi = (Tensor(rng.normal(size=(7, 16)), requires_grad=True) for _ in range(2))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = T.wave_mix(amp, theta, wt, wi, axis)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and out.requires_grad
+    assert held <= 5.5 * amp.data.nbytes, held / amp.data.nbytes
 
 
 def test_wave_mix_bad_arguments():

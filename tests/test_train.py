@@ -217,6 +217,24 @@ def test_task_validation():
         SynthTask(num_classes=3)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        dict(grid=(16, 16)),
+        dict(grid=(16.0, 16, 3)),
+        dict(grid=(16, 16, 0)),
+        dict(seed=-1),
+        dict(train_size=1.5),
+        dict(train_size=True),
+        dict(val_size=0),
+    ],
+)
+def test_task_fields_are_checked_ints(field):
+    with pytest.raises(ConfigurationError):
+        SynthTask(**field)
+    assert pilot_task_config()[0].grid == (16, 16, 3)  # the committed recipe still loads
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
