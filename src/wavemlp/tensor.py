@@ -397,9 +397,10 @@ def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
 
     def adjoint(g):
         gx, gw = np.zeros_like(x), np.zeros_like(w)
+        gxs = np.empty(g.shape, np.result_type(g, x))  # g * x, zero-edged: fixes the sum order
         for r, wr, dst, src in reversed(spans):
             gx[src] += g[dst] * wr
-            gxs = np.zeros(g.shape, np.result_type(g, x))  # a fixed shape fixes numpy's sum order
+            gxs[lead + (slice(None, dst[ax].start),)] = gxs[lead + (slice(dst[ax].stop, None),)] = 0
             np.multiply(g[dst], x[src], out=gxs[dst])
             gw[r : r + 1] = _unbroadcast(gxs, (1, w.shape[1]))
         return gx, gw
