@@ -267,7 +267,7 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     the head is drawn in float64 and cast at once to ``dtype``, float32 or float64."""
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ConfigurationError(f"a model is float32 or float64, got dtype {np.dtype(dtype).name}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ints("seed", seed, 0))  # numpy seeds its generators from ints >= 0
 
     def cast(node):
         for _, t in iter_params(node):
@@ -335,26 +335,29 @@ def stage_walk(
     return x
 
 
-def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> Tensor:
-    """Images [B, H, W, C] -> logits [B, num_classes].
-
-    ``stage_walk`` over the four stages, a final norm, a mean over the token
-    grid, then the head (a channel-FC of the pooled features plus a bias).
-    Images that are not a Tensor are cast to the model's dtype. ``rng``
-    enables dropout (training only); omit it for deterministic evaluation.
-    Raises NumericError naming the first layer (``stems.i``, ``stages.i.j``
-    or ``head``) that produced a non-finite value.
-    """
+def _image_batch(m: ModelParams, images) -> Tensor:
+    """A Tensor as given, else cast to m's dtype; DimensionError unless [B, H>=4, W>=4, C_in]."""
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=m.head.dtype))
     if x.ndim != 4:
         raise DimensionError(f"expected [B, H, W, C] images, got {tuple(x.shape)}")
     if x.shape[1] < 4 or x.shape[2] < 4:
         raise DimensionError(f"input spatial size must be >= 4, got {tuple(x.shape[1:3])}")
     if x.shape[3] != m.config.input_channels:
-        raise DimensionError(
-            f"expected {m.config.input_channels} channels, got {x.shape[3]}"
-        )
-    x = stage_walk(x, m.stems, m.stages, m.config.dropout, rng)
+        raise DimensionError(f"expected {m.config.input_channels} channels, got {x.shape[3]}")
+    return x
+
+
+def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> Tensor:
+    """Images [B, H, W, C] -> logits [B, num_classes].
+
+    ``stage_walk`` over the four stages, a final norm, a mean over the token
+    grid, then the head (a channel-FC of the pooled features plus a bias).
+    ``_image_batch`` casts and checks the images. ``rng`` enables dropout
+    (training only); omit it for deterministic evaluation. Raises
+    NumericError naming the first layer (``stems.i``, ``stages.i.j`` or
+    ``head``) that produced a non-finite value.
+    """
+    x = stage_walk(_image_batch(m, images), m.stems, m.stages, m.config.dropout, rng)
     x = normalize(x, m.final_norm.scale, m.final_norm.shift)
     pooled = reduce_mean(x, axis=(1, 2))
     logits = add(channel_fc(pooled, m.head), m.head_bias)

@@ -90,11 +90,17 @@ class PatmParams:
     phase_mode: PhaseMode
 
     def __post_init__(self):
-        if self.axis not in AXIS_INDEX:
-            raise ConfigurationError(f"axis must be height or width, got {self.axis!r}")
+        _axis_index(self.axis)
         wt, wi = tuple(self.wt.shape), tuple(self.wi.shape)
         if len(wt) != 2 or wt[0] % 2 == 0 or wi != wt:
             raise ConfigurationError(f"wt, wi must share one [odd window, d], got {wt}, {wi}")
+
+
+def _axis_index(axis: str) -> int:
+    """The grid axis of a mixing-axis name; ConfigurationError unless "height" or "width"."""
+    if not isinstance(axis, str) or axis not in AXIS_INDEX:
+        raise ConfigurationError(f"axis must be height or width, got {axis!r}")
+    return AXIS_INDEX[axis]
 
 
 def channel_fc(x: Tensor, w: Tensor) -> Tensor:
@@ -114,8 +120,8 @@ def compute_amplitude(x: Tensor, wc: Tensor) -> Tensor:
 
 
 def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str) -> Tensor:
-    """Produce a phase grid (radians) for every token element."""
-    mode = PhaseMode(mode)
+    """Produce a phase grid (radians) for every token element; ``axis`` is checked in every mode."""
+    mode, ax = PhaseMode(mode), _axis_index(axis)
     if mode is PhaseMode.NONE:
         return Tensor(np.zeros_like(x.data))
     if mode is PhaseMode.IDENTITY:
@@ -138,7 +144,7 @@ def estimate_phase(x: Tensor, mode: PhaseMode, wtheta: Tensor | None, axis: str)
             f"depthwise wtheta must be [{DEPTHWISE_KERNEL}, {x.shape[-1]}], "
             f"got {tuple(wtheta.shape)}"
         )
-    return window_mix(x, wtheta, AXIS_INDEX[axis])
+    return window_mix(x, wtheta, ax)
 
 
 def aggregate_tokens(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: str) -> Tensor:
@@ -151,7 +157,7 @@ def aggregate_tokens(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: s
     shapes. The weights are per relative offset and per channel; the orthogonal
     spatial axis and the batch are untouched. Output shape equals input shape.
     """
-    return wave_mix(amp, theta, wt, wi, AXIS_INDEX[axis])
+    return wave_mix(amp, theta, wt, wi, _axis_index(axis))
 
 
 def patm_forward(x: Tensor, p: PatmParams) -> Tensor:

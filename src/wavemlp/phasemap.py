@@ -19,9 +19,9 @@ import numpy as np
 
 from .blocks import normalize
 from .errors import ConfigurationError, ContractError, UnsupportedModeError
-from .model import ModelParams, stage_walk
+from .model import ModelParams, _image_batch, stage_walk
 from .patm import estimate_phase
-from .tensor import Tensor, window_spans
+from .tensor import window_spans
 
 __all__ = [
     "check_window",
@@ -44,7 +44,7 @@ def phase_grid(m: ModelParams, image: np.ndarray, stage: int) -> np.ndarray:
         raise UnsupportedModeError(
             f"phase mode {m.config.phase_mode.value!r} has no input-dependent phases to map"
         )
-    x = Tensor(np.asarray(image, dtype=m.head.dtype)[None])
+    x = _image_batch(m, np.asarray(image)[None])  # forward's cast and checks
     x = stage_walk(x, m.stems[:stage], m.stages[: stage - 1] + [[]])
     block = m.stages[stage - 1][0]
     n = normalize(x, block.norm1.scale, block.norm1.shift)

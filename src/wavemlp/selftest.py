@@ -55,11 +55,7 @@ def load_pilot() -> dict:
 
 def pilot_task_config() -> tuple[SynthTask, TrainConfig]:
     doc = load_pilot()
-    t = dict(doc["task"])
-    t["grid"] = tuple(t["grid"])
-    tr = dict(doc["train"])
-    tr["betas"] = tuple(tr["betas"])
-    return SynthTask(**t), TrainConfig(**tr)
+    return SynthTask(**doc["task"]), TrainConfig(**doc["train"])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class SynthTask:
     def __post_init__(self):
         if self.name not in GENERATORS:
             raise ConfigurationError(f"unknown task {self.name!r}; choose from {sorted(GENERATORS)}")
-        h, w, c = _ints("grid", self.grid, 1, 3)
+        h, w, c = self.grid = _ints("grid", self.grid, 1, 3)
         if h % CELL or w % CELL or h < 2 * CELL or w < 2 * CELL:
             raise ConfigurationError(f"grid {self.grid} must be multiples of {CELL}, >= {2*CELL}")
         if _ints("num_classes", self.num_classes, 2) not in (2, 4):

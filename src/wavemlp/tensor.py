@@ -1,7 +1,9 @@
 """Dense real tensors on numpy plus a reverse-mode differentiation tape.
 
-Forward ops compute with numpy; while a ``Tape`` is active, every op whose
-output needs gradients appends a record ``(inputs, output, backward)``.
+Forward ops compute with numpy and return through ``_result``, the one place
+that decides what an op hands on: its output needs gradients iff an input
+does, and while a ``Tape`` is active such an output appends one record
+``(inputs, output, backward)``.
 Replaying the records in reverse creation order is backpropagation: creation
 order is a topological order, so every consumer of a value is visited before
 its producer.
@@ -172,9 +174,18 @@ class Tape:
             t.grad = g
 
 
-def _record(inputs: Sequence[Tensor], output: Tensor, backward: Callable) -> None:
-    if _TAPE_STACK and output.requires_grad:
-        _TAPE_STACK[-1].record(inputs, output, backward)
+def _taped(*tensors: Tensor) -> bool:
+    """Whether an op on ``tensors`` is recorded: a tape is active and one of them needs a gradient."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in tensors)
+
+
+def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable | None) -> Tensor:
+    """Every op's output: it needs a gradient iff an input does, and is taped iff ``_taped``;
+    an op that is not taped may pass no ``backward``."""
+    out = Tensor(data, any(t.requires_grad for t in inputs))
+    if _taped(out):
+        _TAPE_STACK[-1].record(inputs, out, backward)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -206,24 +217,20 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    _record((a, b), out, backward)
-    return out
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    _record((a, b), out, backward)
-    return out
+    return _result(a.data * b.data, (a, b), backward)
 
 
 _GELU_A = 0.044715
@@ -244,7 +251,6 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
     y = np.multiply(x, 0.5, out=np.empty_like(x))
     y *= np.add(t, 1.0, out=np.empty_like(x))
-    out = Tensor(y, a.requires_grad)
 
     def backward(g):
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
@@ -258,8 +264,7 @@ def gelu(a: Tensor) -> Tensor:
         d += h
         return (np.multiply(g, d, out=d if g.dtype == d.dtype else None),)
 
-    _record((a,), out, backward)
-    return out
+    return _result(y, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +283,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     c_out, c_in = w.shape
     lead = x.shape[:-1]
     x2 = x.data.reshape(math.prod(lead), c_in)
-    out = Tensor((x2 @ w.data.T).reshape(lead + (c_out,)), x.requires_grad or w.requires_grad)
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
@@ -286,8 +290,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         dw = g2.T @ x2 if w.requires_grad else None
         return dx, dw
 
-    _record((x, w), out, backward)
-    return out
+    return _result((x2 @ w.data.T).reshape(lead + (c_out,)), (x, w), backward)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
@@ -308,10 +311,6 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     root = np.sqrt(var + eps)
     unit = centered / root
-    out = Tensor(
-        unit * scale.data + shift.data,
-        x.requires_grad or scale.requires_grad or shift.requires_grad,
-    )
 
     def backward(g):
         gu = g * scale.data
@@ -320,8 +319,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
         dx = (gu - mean_gu - unit * mean_guu) / root
         return dx, _unbroadcast(g * unit, scale.shape), _unbroadcast(g, shift.shape)
 
-    _record((x, scale, shift), out, backward)
-    return out
+    return _result(unit * scale.data + shift.data, (x, scale, shift), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +342,21 @@ def _norm_axes(axis, ndim: int, opname: str) -> tuple[int, ...]:
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, a.ndim, "reduce_sum")
-    out = Tensor(a.data.sum(axis=axes), a.requires_grad)
 
     def backward(g):
         return (np.broadcast_to(np.expand_dims(g, axes), a.shape),)
 
-    _record((a,), out, backward)
-    return out
+    return _result(a.data.sum(axis=axes), (a,), backward)
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
     axes = _norm_axes(axis, a.ndim, "reduce_mean")
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    out = Tensor(a.data.mean(axis=axes), a.requires_grad)
+    count = math.prod(a.shape[ax] for ax in axes)
 
     def backward(g):
         return (np.broadcast_to(np.expand_dims(g, axes) / count, a.shape),)
 
-    _record((a,), out, backward)
-    return out
+    return _result(a.data.mean(axis=axes), (a,), backward)
 
 
 def window_spans(n: int, window: int) -> list[tuple[int, slice, slice]]:
@@ -418,9 +410,7 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
     acc, adjoint = _window_sum(x.data, w.data, axis, "window_mix")
-    out = Tensor(acc, x.requires_grad or w.requires_grad)
-    _record((x, w), out, adjoint)
-    return out
+    return _result(acc, (x, w), adjoint)
 
 
 def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> Tensor:
@@ -435,23 +425,21 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     if amp.shape != theta.shape or wt.shape != wi.shape:
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
         raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
-    requires_grad = any(t.requires_grad for t in (amp, theta, wt, wi))
-    if not (_TAPE_STACK and requires_grad):  # untaped: free each term once it is summed
+    inputs = (amp, theta, theta, wt, wi)
+    if not _taped(*inputs):  # free each term once it is summed
         real = _window_sum(amp.data * np.cos(theta.data), wt.data, axis, "wave_mix")[0]
         imag = _window_sum(amp.data * np.sin(theta.data), wi.data, axis, "wave_mix")[0]
-        return Tensor(real + imag, requires_grad)
+        return _result(real + imag, inputs, None)
     c, s = np.cos(theta.data), np.sin(theta.data)
     real, real_adjoint = _window_sum(amp.data * c, wt.data, axis, "wave_mix")
     imag, imag_adjoint = _window_sum(amp.data * s, wi.data, axis, "wave_mix")
-    out = Tensor(real + imag, requires_grad)
 
     def backward(g):
         gi, dwi = imag_adjoint(g)
         gr, dwt = real_adjoint(g)
         return gi * s + gr * c, (gi * amp.data) * c, -(gr * amp.data) * s, dwt, dwi
 
-    _record((amp, theta, theta, wt, wi), out, backward)
-    return out
+    return _result(real + imag, inputs, backward)
 
 
 def patchify(x: Tensor, patch: int) -> Tensor:
@@ -471,14 +459,12 @@ def patchify(x: Tensor, patch: int) -> Tensor:
     padded = np.zeros(full, dtype=x.dtype)
     padded[:, :h, :w] = x.data
     tiles = padded.reshape(b, hp, p, wp, p, c).transpose(0, 1, 3, 2, 4, 5)
-    out = Tensor(tiles.reshape(b, hp, wp, p * p * c), x.requires_grad)
 
     def backward(g):
         rows = g.reshape(b, hp, wp, p, p, c).transpose(0, 1, 3, 2, 4, 5)
         return (rows.reshape(full)[:, :h, :w],)
 
-    _record((x,), out, backward)
-    return out
+    return _result(tiles.reshape(b, hp, wp, p * p * c), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +489,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     ez = np.exp(z)
     sez = ez.sum(axis=1, keepdims=True)
     logp = z - np.log(sez)
-    out = Tensor(-logp[np.arange(n), labels].mean(), logits.requires_grad)
 
     def backward(g):
         grad = ez / sez
         grad[np.arange(n), labels] -= 1.0
         return (g * grad / n,)
 
-    _record((logits,), out, backward)
-    return out
+    return _result(-logp[np.arange(n), labels].mean(), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

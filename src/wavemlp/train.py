@@ -62,6 +62,7 @@ class TrainConfig:
         pair = isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
         if not (pair and all(isinstance(x, numbers.Real) and 0 <= x < 1 for x in self.betas)):
             raise ConfigurationError(f"betas must be a pair of numbers in [0, 1), got {self.betas!r}")
+        self.betas = tuple(self.betas)
         if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < math.inf):
             raise ConfigurationError(f"eps must be finite and > 0, got {self.eps!r}")
         if self.schedule != "cosine":

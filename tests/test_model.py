@@ -308,6 +308,12 @@ def test_build_rejects_a_dtype_other_than_f32_or_f64(dtype):
         build(preset("tiny"), 0, dtype)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_build_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        build(preset("tiny"), seed)
+
+
 @pytest.mark.parametrize("name, res, batch, records", [("tiny", 16, 64, 84), ("T", 64, 1, 192)])
 def test_a_taped_step_makes_a_fixed_number_of_records(name, res, batch, records):
     """The pilot's step (tiny, B=64, 16x16) and a T step at 64: one record per fused op."""

@@ -1,5 +1,7 @@
 """Phase-aware token mixing: semantics of each sub-op, oracles, invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -332,3 +334,25 @@ def test_patm_params_validation():
         params(3, 1)  # wt and wi differ
     with pytest.raises(ConfigurationError):
         init_patm(2, 3, "diagonal", PhaseMode.NONE, _rng(21))
+
+
+_BAD_AXIS = "axis must be height or width, got 'depth'"
+
+
+@pytest.mark.parametrize("mode", list(PhaseMode))
+def test_estimate_phase_rejects_a_bad_axis_name_in_every_mode(mode):
+    x = Tensor(np.zeros((1, 4, 4, 2)))
+    shapes = {PhaseMode.STATIC: (4, 4, 2), PhaseMode.CHANNEL_FC: (2, 2), PhaseMode.DEPTHWISE: (3, 2)}
+    wtheta = Tensor(np.zeros(shapes[mode])) if mode in shapes else None
+    with pytest.raises(ConfigurationError, match=_BAD_AXIS):
+        estimate_phase(x, mode, wtheta, "depth")
+
+
+def test_aggregate_tokens_and_patm_params_reject_a_bad_axis_name():
+    x, w = Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 2)))
+    with pytest.raises(ConfigurationError, match=_BAD_AXIS):
+        aggregate_tokens(x, x, w, w, "depth")
+    with pytest.raises(ConfigurationError, match=_BAD_AXIS):
+        replace(_identity_params(2), axis="depth")
+    with pytest.raises(ConfigurationError, match=r"got \['height'\]"):  # unhashable, not a TypeError
+        aggregate_tokens(x, x, w, w, ["height"])

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemlp.blocks import block_forward, normalize, patch_embed
-from wavemlp.errors import ConfigurationError, ContractError, NumericError, UnsupportedModeError
-from wavemlp.model import build, preset
+from wavemlp.errors import (
+    ConfigurationError,
+    ContractError,
+    DimensionError,
+    NumericError,
+    UnsupportedModeError,
+)
+from wavemlp.model import build, forward, preset
 from wavemlp.patm import PhaseMode, estimate_phase
 from wavemlp.phasemap import (
     check_window,
@@ -96,6 +102,22 @@ def test_phase_grid_rejects_static_and_none_modes():
     m = build(preset("tiny", phase_mode="static", input_size=(32, 32)), seed=0)
     with pytest.raises(UnsupportedModeError):
         phase_grid(m, _image(), 4)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (np.zeros((3, 3, 3)), "input spatial size must be >= 4"),
+        (np.zeros((32, 32, 2)), "expected 3 channels, got 2"),
+        (np.zeros((32, 32)), r"expected \[B, H, W, C\] images"),
+    ],
+    ids=["3x3", "2-channel", "2-d"],
+)
+def test_phase_grid_checks_the_image_as_forward_does(image, message):
+    m = build(preset("tiny"), seed=0)
+    for run in (lambda: forward(m, image[None]), lambda: phase_grid(m, image, 4)):
+        with pytest.raises(DimensionError, match=message):
+            run()
 
 
 def test_phase_grid_rejects_early_stages():

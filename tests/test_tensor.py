@@ -701,6 +701,48 @@ def test_no_recording_outside_tape():
     assert len(tape) == n
 
 
+# op -> (call on Tensors, shapes of its Tensor inputs)
+_OPS = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "mul": (T.mul, [(2, 3), (2, 1)]),
+    "gelu": (T.gelu, [(2, 3)]),
+    "linear": (T.linear, [(2, 3), (4, 3)]),
+    "layer_norm": (lambda x, s, b: T.layer_norm(x, s, b, 1e-5), [(2, 3), (3,), (3,)]),
+    "reduce_sum": (T.reduce_sum, [(2, 3)]),
+    "reduce_mean": (lambda a: T.reduce_mean(a, axis=1), [(2, 3)]),
+    "window_mix": (lambda x, w: T.window_mix(x, w, 1), [(2, 4, 3), (3, 3)]),
+    "wave_mix": (lambda *t: T.wave_mix(*t, axis=2), [(1, 4, 5, 3), (1, 4, 5, 3), (3, 3), (3, 3)]),
+    "patchify": (lambda x: T.patchify(x, 2), [(1, 3, 4, 2)]),
+    "softmax_cross_entropy": (lambda z: T.softmax_cross_entropy(z, [0, 2]), [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPS))
+def test_op_output_needs_grad_iff_an_input_does_and_is_taped_iff_a_tape_is_active(name, monkeypatch):
+    assert set(_OPS) == set(T.__all__) - {"Tensor", "Tape", "GradCheckReport", "window_spans", "grad_check"}
+    op, shapes = _OPS[name]
+    records = []  # every Tape.record call, taped or not
+    record = Tape.record
+    monkeypatch.setattr(Tape, "record", lambda tape, *args: records.append(record(tape, *args)))
+
+    def run(needs_grad, taped):
+        inputs = [Tensor(_rng(i).normal(size=s), g) for i, (s, g) in enumerate(zip(shapes, needs_grad))]
+        records.clear()
+        if not taped:
+            return op(*inputs), None
+        with Tape() as tape:
+            return op(*inputs), tape
+
+    out, tape = run([False] * len(shapes), taped=True)
+    assert not out.requires_grad and len(tape) == 0 and not records
+    for i in range(len(shapes)):
+        out, tape = run([j == i for j in range(len(shapes))], taped=True)
+        assert out.requires_grad and len(tape) == 1 and len(records) == 1, i
+        assert tape._records[0][1] is out
+    out, _ = run([True] * len(shapes), taped=False)
+    assert out.requires_grad and not records
+
+
 def test_forward_determinism_bit_identical():
     rng = _rng(8)
     x = rng.normal(size=(5, 5))
@@ -724,12 +766,10 @@ def test_grad_check_analytic_quadratic():
 
 
 def test_grad_check_detects_wrong_backward_rule():
-    from wavemlp.tensor import _record
+    from wavemlp.tensor import _result
 
     def bad_scale(t):
-        out = Tensor(t.data * 2.0, t.requires_grad)
-        _record((t,), out, lambda g: (g * 3.0,))  # deliberately wrong
-        return out
+        return _result(t.data * 2.0, (t,), lambda g: (g * 3.0,))  # deliberately wrong
 
     x = Tensor(_rng(10).normal(size=4), requires_grad=True)
     rep = grad_check(lambda t: T.reduce_sum(bad_scale(t)), x, tol=1e-6)
@@ -738,12 +778,10 @@ def test_grad_check_detects_wrong_backward_rule():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_grad_check_fails_on_a_non_finite_backward(bad):
-    from wavemlp.tensor import _record
+    from wavemlp.tensor import _result
 
     def broken(t):
-        out = Tensor(t.data * 2.0, t.requires_grad)
-        _record((t,), out, lambda g: (np.full_like(g, bad),))
-        return out
+        return _result(t.data * 2.0, (t,), lambda g: (np.full_like(g, bad),))
 
     x = Tensor(_rng(10).normal(size=4), requires_grad=True)
     rep = grad_check(lambda t: T.reduce_sum(broken(t)), x)
@@ -754,12 +792,10 @@ def test_grad_check_fails_on_a_non_finite_backward(bad):
 def test_grad_check_fails_on_a_non_finite_numeric_derivative():
     """f is 0 at the point and nan beside it: the analytic derivative (0) is
     finite, the central difference is nan."""
-    from wavemlp.tensor import _record
+    from wavemlp.tensor import _result
 
     def spike(t):
-        out = Tensor(np.where(t.data == 0.0, 0.0, np.nan), t.requires_grad)
-        _record((t,), out, lambda g: (np.zeros_like(g),))
-        return out
+        return _result(np.where(t.data == 0.0, 0.0, np.nan), (t,), lambda g: (np.zeros_like(g),))
 
     x = Tensor(np.zeros(2), requires_grad=True)
     rep = grad_check(lambda t: T.reduce_sum(spike(t)), x)

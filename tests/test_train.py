@@ -288,8 +288,17 @@ def test_training_config_rejects_bad_betas_and_eps(changes):
 def test_training_config_loads_the_pilot_betas_list():
     doc = load_pilot()["train"]
     assert doc["betas"] == [0.9, 0.999]
-    assert TrainConfig(**doc).betas == [0.9, 0.999]
+    assert TrainConfig(**doc).betas == (0.9, 0.999)
     assert pilot_task_config()[1].betas == (0.9, 0.999)
+
+
+def test_configs_store_list_inputs_as_tuples():
+    assert SynthTask(grid=[16, 16, 3]).grid == (16, 16, 3)
+    assert type(SynthTask(grid=[16, 16, 3]).grid) is tuple
+    assert type(TrainConfig(betas=[0.9, 0.999]).betas) is tuple
+    task, tc = pilot_task_config()
+    assert task == SynthTask("interference", (16, 16, 3), 4, 0, 512, 128)
+    assert tc == TrainConfig(50, 64, 0.003, 0.05, (0.9, 0.999), 1e-8, "cosine", 0, "f64")
 
 
 @pytest.mark.parametrize("field", ["lr", "weight_decay"])
