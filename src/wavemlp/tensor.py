@@ -3,15 +3,16 @@
 Forward ops compute with numpy and return through ``_result``, the one place
 that decides what an op hands on: its output needs gradients iff an input
 does, and while a ``Tape`` is active such an output appends one record
-``(inputs, output, backward)``.
-Replaying the records in reverse creation order is backpropagation: creation
-order is a topological order, so every consumer of a value is visited before
-its producer.
+``(input uids, output uid, backward)``, whose closure keeps only what backward
+reads. Replaying the records in reverse creation order is backpropagation:
+creation order is a topological order, so every consumer of a value is visited
+before its producer.
 
 Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
 over the last axis) is the one matrix product. A Tensor keeps float32 or
-float64 data as given and turns any other data into float64; it takes no
-dtype of its own, since ``model.build`` alone sets a model's precision.
+float64 data as given, turns bool, integer and other float data into float64
+and rejects any other data with ``ContractError``; it takes no dtype of its
+own, since ``model.build`` alone sets a model's precision.
 Broadcasting follows numpy's trailing-dimension alignment.
 """
 
@@ -63,6 +64,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
+            if arr.dtype.kind not in "biuf":
+                raise ContractError(f"Tensor data must be real numbers, got dtype {arr.dtype}")
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -102,13 +105,15 @@ class Tape:
             loss = f(x)
         tape.backward(loss)     # fills x.grad
 
-    ``backward`` seeds the scalar loss with gradient 1, walks the records in
-    reverse, accumulates gradients keyed by tensor uid, and finally assigns
-    ``.grad`` exactly once on every requires_grad leaf that appeared on the
-    tape. Leaves that do not influence the loss receive a zero gradient.
-    ``.grad`` is overwritten, never accumulated, across backward calls. Each
-    ``.grad`` is a writeable array that shares no memory with any other
-    leaf's, so it may be modified in place.
+    A record holds no Tensor: input uids (None where no gradient is needed),
+    the output uid and the backward closure. The tape keeps the leaves, inputs
+    that need a gradient and that no record produced, in first-taped order.
+    ``backward`` releases each leaf's previous ``.grad``, seeds the scalar
+    loss with gradient 1, walks the records in reverse, accumulates gradients
+    keyed by uid, and assigns ``.grad`` exactly once on every leaf, the loss
+    included when it is one. Leaves that do not influence the loss receive a
+    zero gradient. Each ``.grad`` is a writeable array that shares no memory
+    with any other leaf's, so it may be modified in place.
 
     Backward closures hold references to input arrays, not copies: call
     ``backward`` before mutating any participating ``.data`` in place (the
@@ -116,7 +121,9 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
+        self._records: list[tuple[tuple[int | None, ...], int, Callable]] = []
+        self._produced: set[int] = set()
+        self._leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -130,7 +137,11 @@ class Tape:
         return len(self._records)
 
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward: Callable):
-        self._records.append((tuple(inputs), output, backward))
+        new = [t for t in inputs if t.requires_grad and t.uid not in self._produced]
+        self._leaves.update((t.uid, t) for t in new)  # a re-taped leaf keeps its place
+        self._produced.add(output.uid)
+        uids = tuple(t.uid if t.requires_grad else None for t in inputs)
+        self._records.append((uids, output.uid, backward))
 
     def backward(self, loss: Tensor) -> None:
         if not isinstance(loss, Tensor):
@@ -139,27 +150,27 @@ class Tape:
             raise ContractError(
                 f"backward target must be scalar, got shape {tuple(loss.shape)}"
             )
-        produced = {out.uid for _, out, _ in self._records}
+        leaves = dict(self._leaves)
+        if loss.requires_grad and loss.uid not in self._produced:
+            leaves.setdefault(loss.uid, loss)
+        for t in leaves.values():
+            t.grad = None  # do not hold the last step's gradients while building these
         grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
-        for inputs, output, backfn in reversed(self._records):
-            gout = grads.pop(output.uid, None)
+        for uids, out, backfn in reversed(self._records):
+            gout = grads.pop(out, None)
             if gout is None:
                 continue  # not on a path to the loss
-            gins = backfn(gout)
-            for inp, gin in zip(inputs, gins):
-                if gin is None or not inp.requires_grad:
+            for uid, gin in zip(uids, backfn(gout)):
+                if gin is None or uid is None:
                     continue
-                have = grads.get(inp.uid)
-                grads[inp.uid] = gin if have is None else have + gin
+                have = grads.get(uid)
+                grads[uid] = gin if have is None else have + gin
         # Only leaves (never an op output) remain keyed; assign once each.
         # Copy a gradient that is read-only (a broadcast view or a 0-d input's
         # numpy scalar), already another leaf's, or promoted where two dtypes
         # met, so that each .grad is writeable, owned and of its leaf's dtype.
-        assigned: set[int] = set()
         owners: set[int] = set()  # ids of the buffers already handed to a leaf
-        for t in [t for inputs, _, _ in self._records for t in inputs] + [loss]:
-            if not t.requires_grad or t.uid in produced or t.uid in assigned:
-                continue
+        for t in leaves.values():
             g = grads.pop(t.uid, None)
             if g is None:
                 g = np.zeros_like(t.data)
@@ -170,7 +181,6 @@ class Tape:
             ):
                 g = np.array(g, dtype=t.dtype)
             owners.add(id(g if g.base is None else g.base))
-            assigned.add(t.uid)
             t.grad = g
 
 
@@ -217,9 +227,10 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _result(a.data + b.data, (a, b), backward)
 
@@ -341,20 +352,20 @@ def _norm_axes(axis, ndim: int, opname: str) -> tuple[int, ...]:
 
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, a.ndim, "reduce_sum")
+    axes, shape = _norm_axes(axis, a.ndim, "reduce_sum"), a.shape
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axes), a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes), shape),)
 
     return _result(a.data.sum(axis=axes), (a,), backward)
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, a.ndim, "reduce_mean")
-    count = math.prod(a.shape[ax] for ax in axes)
+    axes, shape = _norm_axes(axis, a.ndim, "reduce_mean"), a.shape
+    count = math.prod(shape[ax] for ax in axes)
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axes) / count, a.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axes) / count, shape),)
 
     return _result(a.data.mean(axis=axes), (a,), backward)
 
@@ -372,8 +383,8 @@ def window_spans(n: int, window: int) -> list[tuple[int, slice, slice]]:
 
 
 def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
-    """The windowed sum on arrays, after checking w as its weights: (output, g -> (dx, dw)).
-    The rows of dw of offsets that ``window_spans`` leaves out are exact zeros."""
+    """The windowed sum on arrays, after checking w as its weights: (output, (g, x) -> (dx, dw)),
+    x passed again so a caller may rebuild it. Rows of dw ``window_spans`` leaves out are 0."""
     (ax,) = _norm_axes(axis, x.ndim, opname)
     if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
@@ -387,7 +398,7 @@ def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
         acc[dst] += x[src] * wr
         spans.append((r, wr, dst, src))
 
-    def adjoint(g):
+    def adjoint(g, x):
         gx, gw = np.zeros_like(x), np.zeros_like(w)
         gxs = np.empty(g.shape, np.result_type(g, x))  # g * x, zero-edged: fixes the sum order
         for r, wr, dst, src in reversed(spans):
@@ -410,7 +421,7 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
     acc, adjoint = _window_sum(x.data, w.data, axis, "window_mix")
-    return _result(acc, (x, w), adjoint)
+    return _result(acc, (x, w), lambda g: adjoint(g, x.data))
 
 
 def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> Tensor:
@@ -421,6 +432,7 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     adjoints of the two sums, damp = gi*sin(theta) + gr*cos(theta), and theta
     gets (gi*amp)*cos(theta) and -(gr*amp)*sin(theta) as two inputs of the
     record, so the tape adds them in order with any other gradient of theta.
+    Backward rebuilds amp*cos(theta) and amp*sin(theta) rather than keep them.
     """
     if amp.shape != theta.shape or wt.shape != wi.shape:
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
@@ -435,8 +447,8 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     imag, imag_adjoint = _window_sum(amp.data * s, wi.data, axis, "wave_mix")
 
     def backward(g):
-        gi, dwi = imag_adjoint(g)
-        gr, dwt = real_adjoint(g)
+        gi, dwi = imag_adjoint(g, amp.data * s)
+        gr, dwt = real_adjoint(g, amp.data * c)
         return gi * s + gr * c, (gi * amp.data) * c, -(gr * amp.data) * s, dwt, dwi
 
     return _result(real + imag, inputs, backward)
@@ -472,7 +484,7 @@ def patchify(x: Tensor, patch: int) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of integer labels against row-wise softmax.
+    """Mean cross-entropy of integer labels against row-wise softmax; the batch may not be empty.
 
     Fused op: backward is (softmax - onehot) / batch, which keeps the tape
     short and is exact (verified against finite differences in the tests).
@@ -481,8 +493,10 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.ndim != 2:
         raise DimensionError(f"logits must be 2-D, got {tuple(logits.shape)}")
     n, c = logits.shape
-    if labels.shape != (n,):
-        raise DimensionError(f"labels shape {labels.shape} != ({n},)")
+    if n == 0 or labels.shape != (n,):
+        raise DimensionError(f"need one label per row of a non-empty batch, got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= c:
         raise ContractError("labels out of class range")
     z = logits.data - logits.data.max(axis=1, keepdims=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -322,6 +323,22 @@ def test_a_taped_step_makes_a_fixed_number_of_records(name, res, batch, records)
     with Tape() as tape:
         softmax_cross_entropy(forward(m, images), np.zeros(batch, dtype=np.int64))
     assert len(tape) == records
+
+
+def test_a_taped_T_forward_at_64_holds_at_most_15_mib():
+    """What the tape keeps for backward (tracemalloc, f64, B=1): no phases, residual sums or
+    wave products, which no backward reads or which it rebuilds; 14.1 MiB when this was set."""
+    m = build(preset("T"), seed=0)
+    images = _rng(1).normal(size=(1, 64, 64, 3))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = softmax_cross_entropy(forward(m, images), np.zeros(1, dtype=np.int64))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 192 and loss.requires_grad
+    assert held <= 15 * 2**20, held / 2**20
 
 
 @pytest.mark.parametrize("mode", list(PhaseMode))
