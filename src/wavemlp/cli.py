@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_superpose(args) -> int:
-    _kv("seed", args.seed)
     amp = float(wave.superpose_amplitude(args.a1, args.a2, args.t1, args.t2))
     ora = wave.oracle_superpose(args.a1, args.a2, args.t1, args.t2)
     _kv("amplitude", repr(amp))
@@ -119,7 +118,6 @@ def _load_cfg(args):
 
 
 def _cmd_count(args) -> int:
-    _kv("seed", args.seed)
     cfg = _load_cfg(args)
     n_params = M.count_params(cfg)
     n_flops = M.count_flops(cfg, args.res, args.res)
@@ -142,7 +140,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_check_grads(args) -> int:
-    _kv("seed", args.seed)
     cfg = M.load_arch_config(args.config) if args.config else None
     results = check_gradients(seed=args.seed, tol=args.tol)
     if cfg is not None:
@@ -162,7 +159,6 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    _kv("seed", args.seed)
     cfg = _load_cfg(args)
     task = SynthTask(name=args.task, num_classes=cfg.num_classes if cfg.num_classes in (2, 4) else 4)
     if cfg.num_classes != task.num_classes:
@@ -183,7 +179,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _kv("seed", args.seed)
     task = SynthTask(name=args.task)
     tc = _train_config(args)
     seeds = tuple(range(args.seed, args.seed + args.num_seeds))
@@ -201,7 +196,6 @@ def _cmd_ablate(args) -> int:
 def _cmd_phase_map(args) -> int:
     from .phasemap import check_window, export_phase_map
 
-    _kv("seed", args.seed)
     if args.window is not None:
         check_window(args.window)  # before training, not after it
     task = pilot_task_config()[0]
@@ -216,7 +210,6 @@ def _cmd_phase_map(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    _kv("seed", args.seed)
     results = run_selftest(full=args.full, seed=args.seed)
     for r in results:
         print(r.line())
@@ -243,6 +236,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # every subcommand has --seed; numpy seeds are >= 0
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        _kv("seed", args.seed)  # every subcommand's first line
         return _HANDLERS[args.command](args)
     except WaveMlpError as exc:
         print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)

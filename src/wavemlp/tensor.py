@@ -14,6 +14,10 @@ float64 data as given, turns bool, integer and other float data into float64
 and rejects any other data with ``ContractError``; it takes no dtype of its
 own, since ``model.build`` alone sets a model's precision.
 Broadcasting follows numpy's trailing-dimension alignment.
+
+``gelu``, ``window_mix`` and ``wave_mix`` work in slabs of at most ``_SLAB``
+elements, cut only along axes the op treats independently, with reused scratch.
+``linear``, ``layer_norm`` and sums across cut axes (``dw``) are never sliced.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _uids = itertools.count(1)
 _TAPE_STACK: list["Tape"] = []
+_SLAB = 1 << 15  # T@224 forward, 2 CPUs: 2**13-2**17 alike, 2**12 slower, 2**18 faults again
 
 
 class Tensor:
@@ -89,7 +94,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        if self.size != 1:
+            raise ContractError(f"item() needs a one-element Tensor, got shape {tuple(self.shape)}")
+        return self.data.item()
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -221,6 +228,20 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
         ) from None
 
 
+def _slabs(shape: tuple, whole: tuple, *dtypes) -> Iterator[tuple]:
+    """Yield (index, one reused scratch array per dtype) per slab of ``shape``, ``whole`` kept."""
+    steps = [max(n, 1) for n in shape]  # a slab's extent along each axis
+    for ax in range(len(shape)):  # cut the outermost axes first, down to one index if need be
+        size = math.prod(map(min, steps, shape))
+        if ax not in whole and size > _SLAB:
+            steps[ax] = max(1, _SLAB * shape[ax] // size)
+    buffers = [np.empty(math.prod(map(min, steps, shape)), dtype) for dtype in dtypes]
+    for start in itertools.product(*(range(0, max(n, 1), k) for n, k in zip(shape, steps))):
+        size = tuple(min(k, n - j) for j, k, n in zip(start, steps, shape))
+        index = tuple(slice(j, j + k) for j, k in zip(start, steps)) + (...,)  # ... keeps 0-d
+        yield (index, *(b[: math.prod(size)].reshape(size) for b in buffers))
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -251,29 +272,35 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
-    Both passes run in place, in the closed forms' operation order; the record
-    keeps x and the tanh, and backward recomputes 1 + tanh.
+    Both passes run slab by slab, in the closed forms' operation order; the
+    record keeps x and the tanh, and backward recomputes 1 + tanh.
     """
     x = a.data
-    t = np.multiply(x, _GELU_A, out=np.empty_like(x))
-    t *= x
-    t *= x
-    t += x
-    np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
-    y = np.multiply(x, 0.5, out=np.empty_like(x))
-    y *= np.add(t, 1.0, out=np.empty_like(x))
+    y, tanh = np.empty_like(x), np.empty_like(x) if _taped(a) else None
+    for s, scratch, one_t in _slabs(x.shape, (), x.dtype, x.dtype):
+        xs = x[s]
+        t = np.multiply(xs, _GELU_A, out=scratch if tanh is None else tanh[s])
+        t *= xs
+        t *= xs
+        t += xs
+        np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
+        ys = np.multiply(xs, 0.5, out=y[s])
+        ys *= np.add(t, 1.0, out=one_t)
 
     def backward(g):
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
-        d, h = np.empty_like(x), np.multiply(x, 0.5, out=np.empty_like(x))
-        h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
-        np.multiply(x, 3.0 * _GELU_A, out=d)
-        d *= x
-        d += 1.0
-        h *= np.multiply(d, _GELU_C, out=d)
-        np.multiply(np.add(t, 1.0, out=d), 0.5, out=d)
-        d += h
-        return (np.multiply(g, d, out=d if g.dtype == d.dtype else None),)
+        dx = np.empty_like(x, dtype=np.result_type(g.dtype, x.dtype))
+        for s, d, h in _slabs(x.shape, (), x.dtype, x.dtype):
+            xs, t, h = x[s], tanh[s], np.multiply(x[s], 0.5, out=h)
+            h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
+            np.multiply(xs, 3.0 * _GELU_A, out=d)
+            d *= xs
+            d += 1.0
+            h *= np.multiply(d, _GELU_C, out=d)
+            np.multiply(np.add(t, 1.0, out=d), 0.5, out=d)
+            d += h
+            np.multiply(g[s], d, out=dx[s])
+        return (dx,)
 
     return _result(y, (a,), backward)
 
@@ -312,16 +339,17 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     gu = g * scale, dx = (gu - mean(gu) - u * mean(gu * u)) / root,
     dscale = sum of g * u and dshift = sum of g over every axis but the last.
     """
-    if x.ndim == 0 or scale.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+    if x.shape[-1:] in ((), (0,)) or scale.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
         raise DimensionError(
-            f"layer_norm: scale/shift must be {x.shape[-1:]} for input {tuple(x.shape)}, "
+            f"layer_norm: input {tuple(x.shape)} needs channels and scale/shift {x.shape[-1:]}, "
             f"got {tuple(scale.shape)}, {tuple(shift.shape)}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"layer_norm: eps must be finite and > 0, got {eps!r}")
+    unit = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (unit * unit).mean(axis=-1, keepdims=True)
     root = np.sqrt(var + eps)
-    unit = centered / root
+    unit /= root
 
     def backward(g):
         gu = g * scale.data
@@ -330,7 +358,9 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
         dx = (gu - mean_gu - unit * mean_guu) / root
         return dx, _unbroadcast(g * unit, scale.shape), _unbroadcast(g, shift.shape)
 
-    return _result(unit * scale.data + shift.data, (x, scale, shift), backward)
+    y = np.empty(x.shape, np.result_type(unit, scale.data, shift.data))
+    np.add(np.multiply(unit, scale.data, out=y), shift.data, out=y)
+    return _result(y, (x, scale, shift), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +412,23 @@ def window_spans(n: int, window: int) -> list[tuple[int, slice, slice]]:
     return spans
 
 
-def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
-    """The windowed sum on arrays, after checking w as its weights: (output, (g, x) -> (dx, dw)),
-    x passed again so a caller may rebuild it. Rows of dw ``window_spans`` leaves out are 0."""
-    (ax,) = _norm_axes(axis, x.ndim, opname)
-    if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != x.shape[-1]:
+def _window_sum(shape: tuple, w: np.ndarray, axis: int, opname: str):
+    """The windowed sum along ``axis`` for ``shape``, w checked as its weights: (axis, forward(acc,
+    x, tmp) on a slab via scratch tmp, adjoint(g, x) -> (dx, dw)); unreached dw rows are 0."""
+    (ax,) = _norm_axes(axis, len(shape), opname)
+    if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != shape[-1]:
         raise DimensionError(
-            f"{opname}: weights {tuple(w.shape)} are not [odd window, {x.shape[-1]} channels]"
+            f"{opname}: weights {tuple(w.shape)} are not [odd window, {shape[-1]} channels]"
         )
-    lead = (slice(None),) * ax
-    acc, spans = np.zeros(x.shape, dtype=np.result_type(x, w)), []
-    for r, dst, src in window_spans(x.shape[ax], w.shape[0]):
-        wr = w[r : r + 1, dst if ax == x.ndim - 1 else slice(None)]  # channels follow the output
-        dst, src = lead + (dst,), lead + (src,)
-        acc[dst] += x[src] * wr
-        spans.append((r, wr, dst, src))
+    lead, spans = (slice(None),) * ax, []
+    for r, dst, src in window_spans(shape[ax], w.shape[0]):
+        wr = w[r, dst if ax == len(shape) - 1 else slice(None)]  # channels follow dst
+        spans.append((r, wr, lead + (dst,), lead + (src,)))
+
+    def forward(acc, x, tmp):
+        acc.fill(0)
+        for _, wr, dst, src in spans:
+            acc[dst] += np.multiply(x[src], wr, out=tmp[dst] if tmp.dtype == acc.dtype else None)
 
     def adjoint(g, x):
         gx, gw = np.zeros_like(x), np.zeros_like(w)
@@ -405,10 +437,10 @@ def _window_sum(x: np.ndarray, w: np.ndarray, axis: int, opname: str):
             gx[src] += g[dst] * wr
             gxs[lead + (slice(None, dst[ax].start),)] = gxs[lead + (slice(dst[ax].stop, None),)] = 0
             np.multiply(g[dst], x[src], out=gxs[dst])
-            gw[r : r + 1] = _unbroadcast(gxs, (1, w.shape[1]))
+            gw[r : r + 1] = _unbroadcast(np.atleast_2d(gxs), (1, w.shape[1]))
         return gx, gw
 
-    return acc, adjoint
+    return ax, forward, adjoint
 
 
 def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
@@ -420,7 +452,10 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
-    acc, adjoint = _window_sum(x.data, w.data, axis, "window_mix")
+    ax, forward, adjoint = _window_sum(x.shape, w.data, axis, "window_mix")
+    acc = np.empty(x.shape, np.result_type(x.data, w.data))
+    for s, tmp in _slabs(x.shape, (ax, x.ndim - 1), acc.dtype):
+        forward(acc[s], x.data[s], tmp)
     return _result(acc, (x, w), lambda g: adjoint(g, x.data))
 
 
@@ -428,30 +463,34 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     """Windowed sum of Euler-unfolded waves along one axis, taped as one op.
 
     out = window_mix(amp*cos(theta), wt) + window_mix(amp*sin(theta), wi), with
-    amp and theta of one shape and wt and wi of one shape. With gr and gi the
-    adjoints of the two sums, damp = gi*sin(theta) + gr*cos(theta), and theta
-    gets (gi*amp)*cos(theta) and -(gr*amp)*sin(theta) as two inputs of the
-    record, so the tape adds them in order with any other gradient of theta.
-    Backward rebuilds amp*cos(theta) and amp*sin(theta) rather than keep them.
+    amp and theta of one shape and wt and wi of one shape, computed in slabs. With
+    gr and gi the adjoints of the sums, damp = gi*sin(theta) + gr*cos(theta), and
+    theta gets (gi*amp)*cos(theta) and -(gr*amp)*sin(theta) as two record inputs,
+    so the tape adds them in order with any other gradient of theta. A record
+    keeps cos(theta) and sin(theta); backward rebuilds their products with amp.
     """
     if amp.shape != theta.shape or wt.shape != wi.shape:
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
         raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
-    inputs = (amp, theta, theta, wt, wi)
-    if not _taped(*inputs):  # free each term once it is summed
-        real = _window_sum(amp.data * np.cos(theta.data), wt.data, axis, "wave_mix")[0]
-        imag = _window_sum(amp.data * np.sin(theta.data), wi.data, axis, "wave_mix")[0]
-        return _result(real + imag, inputs, None)
-    c, s = np.cos(theta.data), np.sin(theta.data)
-    real, real_adjoint = _window_sum(amp.data * c, wt.data, axis, "wave_mix")
-    imag, imag_adjoint = _window_sum(amp.data * s, wi.data, axis, "wave_mix")
+    inputs, a, th = (amp, theta, theta, wt, wi), amp.data, theta.data
+    ax, real_sum, real_adjoint = _window_sum(a.shape, wt.data, axis, "wave_mix")
+    _, imag_sum, imag_adjoint = _window_sum(a.shape, wi.data, axis, "wave_mix")
+    wave = np.result_type(a, th)  # the dtype of amp*cos(theta)
+    real_type, imag_type = (np.result_type(wave, w.data) for w in (wt, wi))
+    out = np.empty(a.shape, np.result_type(real_type, imag_type))
+    c, s = (np.empty_like(th), np.empty_like(th)) if _taped(*inputs) else (None, None)
+    for k, p, tmp, imag in _slabs(a.shape, (ax, a.ndim - 1), wave, out.dtype, imag_type):
+        real = out[k] if real_type == out.dtype else np.empty(p.shape, real_type)
+        real_sum(real, np.multiply(a[k], np.cos(th[k], out=p if c is None else c[k]), out=p), tmp)
+        imag_sum(imag, np.multiply(a[k], np.sin(th[k], out=p if s is None else s[k]), out=p), tmp)
+        np.add(real, imag, out=out[k])
 
     def backward(g):
-        gi, dwi = imag_adjoint(g, amp.data * s)
-        gr, dwt = real_adjoint(g, amp.data * c)
-        return gi * s + gr * c, (gi * amp.data) * c, -(gr * amp.data) * s, dwt, dwi
+        gi, dwi = imag_adjoint(g, a * s)
+        gr, dwt = real_adjoint(g, a * c)
+        return gi * s + gr * c, (gi * a) * c, -(gr * a) * s, dwt, dwi
 
-    return _result(real + imag, inputs, backward)
+    return _result(out, inputs, backward)
 
 
 def patchify(x: Tensor, patch: int) -> Tensor:

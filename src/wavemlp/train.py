@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, NumericError
+from .errors import ConfigurationError, ContractError, DimensionError, NumericError
 from .model import ArchConfig, ModelParams, _ints, build, count_flops, count_params, forward, iter_params
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
@@ -186,7 +186,11 @@ class History:
 
 
 def accuracy(m: ModelParams, x: np.ndarray, y: np.ndarray, batch: int = 256) -> float:
-    """Top-1 accuracy, evaluated without a tape."""
+    """Top-1 accuracy of a non-empty image set with one label per image, evaluated untaped."""
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ContractError(f"accuracy: batch must be an int >= 1, got {batch!r}")
+    if len(x) == 0 or np.shape(y) != (len(x),):
+        raise DimensionError(f"accuracy: need one label per image, got {len(x)} and {np.shape(y)}")
     hits = 0
     for lo in range(0, len(x), batch):
         logits = forward(m, x[lo : lo + batch])

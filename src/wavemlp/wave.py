@@ -53,12 +53,15 @@ def canonicalize_phase(theta):
     return np.where(wrapped > np.pi, wrapped - TWO_PI, wrapped)
 
 
-def _check_domain(a1, a2, t1, t2):
-    """Raise DomainError unless every amplitude and phase is finite and every amplitude >= 0."""
+def _waves(a1, a2, t1, t2):
+    """The two waves as float64 arrays; DomainError unless every amplitude and phase is finite
+    and every amplitude >= 0."""
+    a1, a2, t1, t2 = (np.asarray(v, dtype=np.float64) for v in (a1, a2, t1, t2))
     if not all(np.isfinite(v).all() for v in (a1, a2, t1, t2)):
         raise DomainError("superposition amplitudes and phases must be finite")
     if np.any(a1 < 0) or np.any(a2 < 0):
         raise DomainError("superposition amplitudes must be nonnegative")
+    return a1, a2, t1, t2
 
 
 def superpose_amplitude(a1, a2, t1, t2):
@@ -68,9 +71,7 @@ def superpose_amplitude(a1, a2, t1, t2):
     written as (a1 - a2)^2 + 4*a1*a2*cos^2((t2 - t1)/2): a sum of two
     nonnegative terms, so it does not cancel when the waves nearly annihilate.
     """
-    a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
-    t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_domain(a1, a2, t1, t2)
+    a1, a2, t1, t2 = _waves(a1, a2, t1, t2)
     return np.sqrt((a1 - a2) ** 2 + 4.0 * a1 * a2 * np.cos((t2 - t1) / 2.0) ** 2)
 
 
@@ -79,9 +80,7 @@ def superpose_phase(a1, a2, t1, t2):
 
     Computed as t1 + atan2(a2*sin(t2 - t1), a1 + a2*cos(t2 - t1)).
     """
-    a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
-    t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_domain(a1, a2, t1, t2)
+    a1, a2, t1, t2 = _waves(a1, a2, t1, t2)
     if np.any((a1 == 0) & (a2 == 0)):
         raise UndefinedPhaseError("phase of a zero-amplitude superposition is undefined")
     delta = t2 - t1
@@ -95,9 +94,7 @@ def oracle_superpose(a1, a2, t1, t2) -> Phasor:
     (including the phase wrap, done inline). Where the resultant amplitude is
     below ZERO_AMPLITUDE the phase is reported as 0 by convention.
     """
-    a1, a2 = np.asarray(a1, dtype=np.float64), np.asarray(a2, dtype=np.float64)
-    t1, t2 = np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    _check_domain(a1, a2, t1, t2)
+    a1, a2, t1, t2 = _waves(a1, a2, t1, t2)
     re = a1 * np.cos(t1) + a2 * np.cos(t2)
     im = a1 * np.sin(t1) + a2 * np.sin(t2)
     amplitude = np.hypot(re, im)

@@ -341,6 +341,21 @@ def test_a_taped_T_forward_at_64_holds_at_most_15_mib():
     assert held <= 15 * 2**20, held / 2**20
 
 
+def test_an_untaped_T_forward_at_224_peaks_at_most_20_mib():
+    """The elementwise and windowed ops work in slabs, so an untaped forward (tracemalloc, f64,
+    B=1) allocates little beyond each op's output; 17.3 MiB when this was set."""
+    m = build(preset("T"), seed=0)
+    images = _rng(1).normal(size=(1, 224, 224, 3))
+    tracemalloc.start()
+    try:
+        logits = forward(m, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (1, 1000)
+    assert peak <= 20 * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("mode", list(PhaseMode))
 def test_init_helpers_draw_f64(mode):
     rng = _rng(7)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavemlp.errors import ConfigurationError, ContractError, NumericError
-from wavemlp.model import build, iter_params, preset
+from wavemlp.errors import ConfigurationError, ContractError, DimensionError, NumericError
+from wavemlp.model import build, forward, iter_params, preset
 from wavemlp.selftest import load_pilot, pilot_task_config
 from wavemlp.synth import SynthTask, make_dataset
 from wavemlp.train import (
@@ -21,6 +21,7 @@ from wavemlp.train import (
     TrainConfig,
     ablate,
     ablation_workers,
+    accuracy,
     adamw_init,
     adamw_step,
     cosine_lr,
@@ -316,6 +317,38 @@ def test_diverging_training_raises_without_numpy_warnings():
         with pytest.raises(NumericError):
             train(preset("tiny"), task, TrainConfig(epochs=1, lr=1e300))
     assert [str(w.message) for w in caught] == []
+
+
+def _accuracy_case(n=3):
+    images = _rng(4).normal(size=(n, 16, 16, 3))
+    return build(preset("tiny"), seed=0), images, np.zeros(n, dtype=np.int64)
+
+
+def test_accuracy_counts_hits_in_batches():
+    m, images, labels = _accuracy_case()
+    labels[1] = 1
+    hits = (forward(m, images).data.argmax(axis=1) == labels).sum()
+    assert accuracy(m, images, labels, batch=2) == accuracy(m, images, labels) == hits / 3
+
+
+@pytest.mark.parametrize("batch", [-1, 0, 2.0, True])
+def test_accuracy_rejects_a_batch_that_is_not_a_positive_int(batch):
+    m, images, labels = _accuracy_case()
+    with pytest.raises(ContractError, match="batch"):
+        accuracy(m, images, labels, batch=batch)
+
+
+def test_accuracy_rejects_an_empty_image_set():
+    m, images, labels = _accuracy_case()
+    with pytest.raises(DimensionError, match="one label per image"):
+        accuracy(m, images[:0], labels[:0])
+
+
+@pytest.mark.parametrize("labels", [np.zeros(1, np.int64), np.zeros(4, np.int64), np.zeros((3, 1))])
+def test_accuracy_rejects_labels_that_are_not_one_per_image(labels):
+    m, images, _ = _accuracy_case()
+    with pytest.raises(DimensionError, match="one label per image"):
+        accuracy(m, images, labels)
 
 
 def test_training_is_bit_reproducible():
