@@ -95,7 +95,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.size != 1:
-            raise ContractError(f"item() needs a one-element Tensor, got shape {tuple(self.shape)}")
+            raise ContractError(f"expected a scalar Tensor, got shape {tuple(self.shape)}")
         return self.data.item()
 
     def __repr__(self):
@@ -153,10 +153,7 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if not isinstance(loss, Tensor):
             raise ContractError("backward target must be a Tensor")
-        if loss.size != 1:
-            raise ContractError(
-                f"backward target must be scalar, got shape {tuple(loss.shape)}"
-            )
+        loss.item()  # ContractError unless the target is one element
         leaves = dict(self._leaves)
         if loss.requires_grad and loss.uid not in self._produced:
             leaves.setdefault(loss.uid, loss)
@@ -230,15 +227,18 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 
 def _slabs(shape: tuple, whole: tuple, *dtypes) -> Iterator[tuple]:
     """Yield (index, one reused scratch array per dtype) per slab of ``shape``, ``whole`` kept."""
-    steps = [max(n, 1) for n in shape]  # a slab's extent along each axis
+    if math.prod(shape) <= _SLAB:  # ... keeps a 0-d slab an array
+        yield ((...,), *(np.empty(shape, dtype) for dtype in dtypes))
+        return
+    steps = list(shape)  # a slab's extent along each axis
     for ax in range(len(shape)):  # cut the outermost axes first, down to one index if need be
         size = math.prod(map(min, steps, shape))
         if ax not in whole and size > _SLAB:
             steps[ax] = max(1, _SLAB * shape[ax] // size)
-    buffers = [np.empty(math.prod(map(min, steps, shape)), dtype) for dtype in dtypes]
-    for start in itertools.product(*(range(0, max(n, 1), k) for n, k in zip(shape, steps))):
+    buffers = [np.empty(math.prod(steps), dtype) for dtype in dtypes]
+    for start in itertools.product(*(range(0, n, k) for n, k in zip(shape, steps))):
         size = tuple(min(k, n - j) for j, k, n in zip(start, steps, shape))
-        index = tuple(slice(j, j + k) for j, k in zip(start, steps)) + (...,)  # ... keeps 0-d
+        index = tuple(slice(j, j + k) for j, k in zip(start, steps))
         yield (index, *(b[: math.prod(size)].reshape(size) for b in buffers))
 
 
@@ -347,8 +347,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError(f"layer_norm: eps must be finite and > 0, got {eps!r}")
     unit = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (unit * unit).mean(axis=-1, keepdims=True)
-    root = np.sqrt(var + eps)
+    root = np.sqrt((unit * unit).mean(axis=-1, keepdims=True) + eps)
     unit /= root
 
     def backward(g):
@@ -413,8 +412,8 @@ def window_spans(n: int, window: int) -> list[tuple[int, slice, slice]]:
 
 
 def _window_sum(shape: tuple, w: np.ndarray, axis: int, opname: str):
-    """The windowed sum along ``axis`` for ``shape``, w checked as its weights: (axis, forward(acc,
-    x, tmp) on a slab via scratch tmp, adjoint(g, x) -> (dx, dw)); unreached dw rows are 0."""
+    """The windowed sum along ``axis`` for ``shape``, w checked as its weights: (the axes a slab
+    keeps, forward(acc, x, tmp) on a slab, adjoint(g, x) -> (dx, dw), dw 0 on unreached rows)."""
     (ax,) = _norm_axes(axis, len(shape), opname)
     if w.ndim != 2 or w.shape[0] % 2 == 0 or w.shape[1] != shape[-1]:
         raise DimensionError(
@@ -427,8 +426,10 @@ def _window_sum(shape: tuple, w: np.ndarray, axis: int, opname: str):
 
     def forward(acc, x, tmp):
         acc.fill(0)
-        for _, wr, dst, src in spans:
-            acc[dst] += np.multiply(x[src], wr, out=tmp[dst] if tmp.dtype == acc.dtype else None)
+        flat = tmp.reshape(-1) if tmp.dtype == acc.dtype else np.empty(tmp.size, acc.dtype)
+        for _, wr, dst, src in spans:  # a contiguous view of flat fills faster than tmp[dst]
+            xs = x[src]
+            acc[dst] += np.multiply(xs, wr, out=flat[: xs.size].reshape(xs.shape))
 
     def adjoint(g, x):
         gx, gw = np.zeros_like(x), np.zeros_like(w)
@@ -440,7 +441,7 @@ def _window_sum(shape: tuple, w: np.ndarray, axis: int, opname: str):
             gw[r : r + 1] = _unbroadcast(np.atleast_2d(gxs), (1, w.shape[1]))
         return gx, gw
 
-    return ax, forward, adjoint
+    return (ax, len(shape) - 1), forward, adjoint
 
 
 def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
@@ -452,9 +453,9 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     depthwise 1-D correlation. Gradients: dx[j] = sum_r w[r] * g[j - r +
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
-    ax, forward, adjoint = _window_sum(x.shape, w.data, axis, "window_mix")
+    whole, forward, adjoint = _window_sum(x.shape, w.data, axis, "window_mix")
     acc = np.empty(x.shape, np.result_type(x.data, w.data))
-    for s, tmp in _slabs(x.shape, (ax, x.ndim - 1), acc.dtype):
+    for s, tmp in _slabs(x.shape, whole, acc.dtype):
         forward(acc[s], x.data[s], tmp)
     return _result(acc, (x, w), lambda g: adjoint(g, x.data))
 
@@ -473,14 +474,13 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
         shapes = ", ".join(str(tuple(t.shape)) for t in (amp, theta, wt, wi))
         raise DimensionError(f"wave_mix: amp and theta, and wt and wi, must match; got {shapes}")
     inputs, a, th = (amp, theta, theta, wt, wi), amp.data, theta.data
-    ax, real_sum, real_adjoint = _window_sum(a.shape, wt.data, axis, "wave_mix")
+    whole, real_sum, real_adjoint = _window_sum(a.shape, wt.data, axis, "wave_mix")
     _, imag_sum, imag_adjoint = _window_sum(a.shape, wi.data, axis, "wave_mix")
     wave = np.result_type(a, th)  # the dtype of amp*cos(theta)
     real_type, imag_type = (np.result_type(wave, w.data) for w in (wt, wi))
     out = np.empty(a.shape, np.result_type(real_type, imag_type))
     c, s = (np.empty_like(th), np.empty_like(th)) if _taped(*inputs) else (None, None)
-    for k, p, tmp, imag in _slabs(a.shape, (ax, a.ndim - 1), wave, out.dtype, imag_type):
-        real = out[k] if real_type == out.dtype else np.empty(p.shape, real_type)
+    for k, p, tmp, real, imag in _slabs(a.shape, whole, wave, out.dtype, real_type, imag_type):
         real_sum(real, np.multiply(a[k], np.cos(th[k], out=p if c is None else c[k]), out=p), tmp)
         imag_sum(imag, np.multiply(a[k], np.sin(th[k], out=p if s is None else s[k]), out=p), tmp)
         np.add(real, imag, out=out[k])
