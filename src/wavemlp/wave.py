@@ -90,8 +90,8 @@ def superpose_phase(a1, a2, t1, t2):
 def oracle_superpose(a1, a2, t1, t2) -> Phasor:
     """Superpose two waves by explicit real-pair complex arithmetic.
 
-    Independent checker for the closed forms above; shares no code with them
-    (including the phase wrap, done inline). Where the resultant amplitude is
+    Independent checker for the closed forms above; shares only the input check
+    with them (the phase wrap is done inline). Where the resultant amplitude is
     below ZERO_AMPLITUDE the phase is reported as 0 by convention.
     """
     a1, a2, t1, t2 = _waves(a1, a2, t1, t2)

@@ -541,7 +541,7 @@ def test_slabbed_ops_are_byte_equal_untaped_taped_and_in_one_slab(name, case):
 
 def test_untaped_gelu_peaks_at_its_output_and_two_slabs():
     """Untaped at the T model's first-stage hidden shape, GELU's peak is at most 1.25x its input:
-    the output plus two slab buffers (1.08x when this was set)."""
+    the output plus two slab buffers (1.07x when this was set)."""
     x = Tensor(_rng(2).normal(size=(1, 56, 56, 256)), requires_grad=True)
     tracemalloc.start()
     try:
