@@ -7,19 +7,21 @@ and builds no model, so its ``--seed`` is only printed. ``check-grads
 --config`` runs ``selftest.check_config_model`` on the given config. Exit
 codes: 0 success, 1 a check failed, training aborted or an input (config
 file, flag value such as a negative ``--seed``, environment variable) was
-malformed, 2 usage error (argparse's convention). The WAVEMLP_THREADS
-environment variable caps ablation worker processes (default 1).
+malformed or ``--out`` cannot be written (checked before any training), 2
+usage error (argparse's convention). WAVEMLP_THREADS caps ablation workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+import tempfile
 
 from . import model as M
 from . import wave
-from .errors import ConfigurationError, WaveMlpError
+from .errors import ConfigurationError, OutputError, WaveMlpError
 from .selftest import (
     check_config_model,
     check_gradients,
@@ -34,6 +36,13 @@ FLOP_CONVENTION = "1 MAC = 1 FLOP over matmuls, windowed mixing, and stems; elem
 
 def _kv(key, value):
     print(f"{key}={value}")
+
+
+def _write(write, *args, **kwargs):
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:  # the one error for what --out cannot hold
+        raise OutputError(f"cannot write under --out: {exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -172,7 +181,7 @@ def _cmd_train(args) -> int:
     _kv("final_loss", repr(hist.loss[-1]))
     _kv("final_train_acc", repr(hist.train_acc[-1]))
     _kv("final_val_acc", repr(hist.val_acc[-1]))
-    losses, accs = hist.save(args.out)
+    losses, accs = _write(hist.save, args.out)
     _kv("losses_csv", losses)
     _kv("accuracy_csv", accs)
     return 0
@@ -185,7 +194,7 @@ def _cmd_ablate(args) -> int:
     _kv("axis", args.axis)
     _kv("seeds", ";".join(str(s) for s in seeds))
     table = ablate(args.axis, task, tc, seeds=seeds)
-    path = table.save(args.out)
+    path = _write(table.save, args.out)
     for row in table.rows:
         _kv(f"row_{row.setting}_mean_val_acc", repr(row.mean))
         _kv(f"row_{row.setting}_sd_val_acc", repr(row.sd))
@@ -202,7 +211,7 @@ def _cmd_phase_map(args) -> int:
     model, hist = train(M.preset("tiny"), task, _train_config(args))
     _kv("final_val_acc", repr(hist.val_acc[-1]))
     image = make_dataset(task)[0][0]
-    csv_path, pgm_path = export_phase_map(model, image, args.stage, args.out, window=args.window)
+    csv_path, pgm_path = _write(export_phase_map, model, image, args.stage, args.out, args.window)
     _kv("stage", args.stage)
     _kv("csv", csv_path)
     _kv("pgm", pgm_path)
@@ -236,6 +245,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # every subcommand has --seed; numpy seeds are >= 0
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        if hasattr(args, "out"):  # before any training, not after it
+            _write(os.makedirs, args.out, exist_ok=True)
+            _write(tempfile.TemporaryFile, dir=args.out).close()
         _kv("seed", args.seed)  # every subcommand's first line
         return _HANDLERS[args.command](args)
     except WaveMlpError as exc:

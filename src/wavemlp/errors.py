@@ -31,3 +31,7 @@ class NumericError(WaveMlpError, ArithmeticError):
 
 class UnsupportedModeError(WaveMlpError, ValueError):
     """The requested operation does not apply to the configured mode."""
+
+
+class OutputError(WaveMlpError):
+    """An output directory or file could not be created or written."""

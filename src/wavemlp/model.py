@@ -50,6 +50,8 @@ __all__ = [
     "stage_resolutions",
 ]
 
+MIN_INPUT_SIZE = 4  # the smallest input height and width forward takes and count_flops counts
+
 
 @dataclass
 class StageSpec:
@@ -340,8 +342,8 @@ def _image_batch(m: ModelParams, images) -> Tensor:
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=m.head.dtype))
     if x.ndim != 4:
         raise DimensionError(f"expected [B, H, W, C] images, got {tuple(x.shape)}")
-    if x.shape[1] < 4 or x.shape[2] < 4:
-        raise DimensionError(f"input spatial size must be >= 4, got {tuple(x.shape[1:3])}")
+    if min(x.shape[1:3]) < MIN_INPUT_SIZE:
+        raise DimensionError(f"input spatial size must be >= {MIN_INPUT_SIZE}, got {x.shape[1:3]}")
     if x.shape[3] != m.config.input_channels:
         raise DimensionError(f"expected {m.config.input_channels} channels, got {x.shape[3]}")
     return x
@@ -408,7 +410,7 @@ def count_flops(m: ArchConfig | ModelParams, h: int, w: int) -> int:
     (2*window MACs per token element, boundary zeros included), the
     depthwise phase convolution, and stem projections. Elementwise work is
     excluded. Takes a config or a built model, whose config it counts; h and
-    w must be ints >= 1 (ConfigurationError otherwise).
+    w must be ints >= ``MIN_INPUT_SIZE``, as forward needs (ConfigurationError otherwise).
     """
-    _ints("input h, w", (h, w), 1, 2)
+    _ints("input h, w", (h, w), MIN_INPUT_SIZE, 2)
     return _tally(_config(m), h, w)[1]

@@ -81,15 +81,27 @@ def export_phase_map(
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"phase_map_stage{stage}.csv")
     with open(csv_path, "w") as fh:
-        for row in values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(_csv_text(values))
     pgm_path = os.path.join(out_dir, f"phase_map_stage{stage}.pgm")
     write_pgm(pgm_path, values)
     return csv_path, pgm_path
 
 
+def _csv_text(values: np.ndarray) -> str:  # one line per row, each value the repr of its float
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+
+
 def read_phase_map_csv(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """What ``export_phase_map`` writes, read back as a 2-D float64 array; else ContractError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        values = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+    except ValueError:  # not text, not numbers, or ragged rows
+        values = np.empty(0)
+    if values.ndim != 2 or _csv_text(values) != text or not np.all(abs(values) <= 1):
+        raise ContractError(f"not a phase-map CSV as export_phase_map writes it: {path}")
+    return values
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:

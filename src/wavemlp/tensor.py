@@ -6,7 +6,7 @@ does, and while a ``Tape`` is active such an output appends one record
 ``(input uids, output uid, backward)``, whose closure keeps only what backward
 reads. Replaying the records in reverse creation order is backpropagation:
 creation order is a topological order, so every consumer of a value is visited
-before its producer.
+before its producer. A tape replays once and frees each record as it replays it.
 
 Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
 over the last axis) is the one matrix product. A Tensor keeps float32 or
@@ -114,13 +114,16 @@ class Tape:
 
     A record holds no Tensor: input uids (None where no gradient is needed),
     the output uid and the backward closure. The tape keeps the leaves, inputs
-    that need a gradient and that no record produced, in first-taped order.
-    ``backward`` releases each leaf's previous ``.grad``, seeds the scalar
-    loss with gradient 1, walks the records in reverse, accumulates gradients
-    keyed by uid, and assigns ``.grad`` exactly once on every leaf, the loss
-    included when it is one. Leaves that do not influence the loss receive a
-    zero gradient. Each ``.grad`` is a writeable array that shares no memory
-    with any other leaf's, so it may be modified in place.
+    that need a gradient and that no record produced, in first-taped order; it
+    sets a leaf's ``.grad`` to None when it first records it, so a ``.grad``
+    lasts until a new tape records its leaf. ``backward`` seeds the scalar
+    loss with gradient 1, pops the records in reverse, freeing each before the
+    next runs, accumulates gradients keyed by uid, and assigns ``.grad``
+    exactly once on every leaf, the loss included when it is one. Leaves that
+    do not influence the loss receive a zero gradient. Each ``.grad`` is a
+    writeable array that shares no memory with any other leaf's, so it may be
+    modified in place. A tape is single-use: after ``backward`` it holds
+    nothing, and a second ``backward`` or record raises ``ContractError``.
 
     Backward closures hold references to input arrays, not copies: call
     ``backward`` before mutating any participating ``.data`` in place (the
@@ -131,6 +134,7 @@ class Tape:
         self._records: list[tuple[tuple[int | None, ...], int, Callable]] = []
         self._produced: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -144,8 +148,12 @@ class Tape:
         return len(self._records)
 
     def record(self, inputs: Sequence[Tensor], output: Tensor, backward: Callable):
-        new = [t for t in inputs if t.requires_grad and t.uid not in self._produced]
-        self._leaves.update((t.uid, t) for t in new)  # a re-taped leaf keeps its place
+        if self._spent:
+            raise ContractError("this tape has been replayed; record on a new Tape")
+        for t in inputs:
+            if t.requires_grad and t.uid not in self._produced and t.uid not in self._leaves:
+                self._leaves[t.uid] = t  # a re-taped leaf keeps its first place
+                t.grad = None  # do not hold the last step's gradient while this tape grows
         self._produced.add(output.uid)
         uids = tuple(t.uid if t.requires_grad else None for t in inputs)
         self._records.append((uids, output.uid, backward))
@@ -154,13 +162,14 @@ class Tape:
         if not isinstance(loss, Tensor):
             raise ContractError("backward target must be a Tensor")
         loss.item()  # ContractError unless the target is one element
-        leaves = dict(self._leaves)
+        if self._spent:
+            raise ContractError("a Tape replays once; record the step on a new Tape")
         if loss.requires_grad and loss.uid not in self._produced:
-            leaves.setdefault(loss.uid, loss)
-        for t in leaves.values():
-            t.grad = None  # do not hold the last step's gradients while building these
+            self._leaves.setdefault(loss.uid, loss)
+        leaves, self._leaves, self._produced, self._spent = self._leaves, {}, set(), True
         grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
-        for uids, out, backfn in reversed(self._records):
+        while self._records:  # unpacking the next record frees the last one's closure
+            uids, out, backfn = self._records.pop()
             gout = grads.pop(out, None)
             if gout is None:
                 continue  # not on a path to the loss

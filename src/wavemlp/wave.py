@@ -38,6 +38,11 @@ TWO_PI = 2.0 * np.pi
 # meaningless; the oracle reports phase 0 and tests compare amplitudes only.
 ZERO_AMPLITUDE = 1e-14
 
+# The superposition domain (README): (a1 + a2)**2 bounds every square the closed forms
+# take, and past |t| = 1e4 rad they drift from the oracle by more than 1e-10.
+MAX_AMPLITUDE_SUM = 2.0**511
+MAX_PHASE = 1e4
+
 
 class Phasor(NamedTuple):
     """Amplitude/phase pair; scalar or elementwise over arrays."""
@@ -54,13 +59,16 @@ def canonicalize_phase(theta):
 
 
 def _waves(a1, a2, t1, t2):
-    """The two waves as float64 arrays; DomainError unless every amplitude and phase is finite
-    and every amplitude >= 0."""
+    """The two waves as float64 arrays; DomainError unless every amplitude and phase is finite,
+    every amplitude >= 0, a1 + a2 <= MAX_AMPLITUDE_SUM and every |phase| <= MAX_PHASE."""
     a1, a2, t1, t2 = (np.asarray(v, dtype=np.float64) for v in (a1, a2, t1, t2))
     if not all(np.isfinite(v).all() for v in (a1, a2, t1, t2)):
         raise DomainError("superposition amplitudes and phases must be finite")
     if np.any(a1 < 0) or np.any(a2 < 0):
         raise DomainError("superposition amplitudes must be nonnegative")
+    big_phase = np.any(np.abs(t1) > MAX_PHASE) or np.any(np.abs(t2) > MAX_PHASE)
+    if big_phase or np.any(a1 > MAX_AMPLITUDE_SUM - a2):  # a1 + a2 itself may overflow
+        raise DomainError(f"superposition needs a1 + a2 <= 2**511 and |phase| <= {MAX_PHASE:g}")
     return a1, a2, t1, t2
 
 

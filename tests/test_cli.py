@@ -122,6 +122,15 @@ def test_count_bad_resolution_is_a_typed_error(capsys, res):
     assert "flops=" not in captured.out
 
 
+@pytest.mark.parametrize("res", ["1", "3"])
+def test_count_below_the_minimum_input_size_is_a_typed_error(capsys, res):
+    code = main(["count", "--preset", "T", "--res", res])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error=ConfigurationError")
+    assert "flops=" not in captured.out
+
+
 def _committed_train_config(**changes) -> TrainConfig:
     doc = load_pilot()["train"]
     return replace(TrainConfig(**{**doc, "betas": tuple(doc["betas"])}), **changes)
@@ -282,6 +291,41 @@ def test_phase_map_checks_window_before_training(tmp_path, capsys, monkeypatch, 
     assert code == 1
     assert captured.err.startswith("error=ConfigurationError")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["ablate", "--axis", "window"], ["phase-map"]],
+    ids=lambda c: c[0],
+)
+def test_unwritable_out_is_a_typed_error_before_training(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr("wavemlp.cli.train", no_work)
+    monkeypatch.setattr("wavemlp.cli.ablate", no_work)
+    (tmp_path / "ro.txt").write_text("")  # a file, used as a directory below
+    code = main(command + ["--out", str(tmp_path / "ro.txt" / "x")])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=OutputError"), captured.err
+    assert captured.out == ""
+
+
+def test_a_failing_write_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    class History:
+        loss, train_acc, val_acc = [1.0], [0.5], [0.5]
+
+        def save(self, out):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("wavemlp.cli.train", lambda *args: (None, History()))
+    code = main(["train", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=OutputError"), captured.err
 
 
 def test_phase_map_trains_the_pilot_recipe_with_seed_and_epochs(monkeypatch):

@@ -23,6 +23,7 @@ from wavemlp.model import (
     forward,
     iter_params,
     load_arch_config,
+    MIN_INPUT_SIZE,
     preset,
     stage_resolutions,
 )
@@ -289,7 +290,23 @@ def _small_configs(draw):
 def test_pure_counts_equal_those_of_the_built_model(cfg, h, w):
     m = build(cfg, seed=0)
     assert count_params(cfg) == _built_size(m)
+    if min(h, w) < MIN_INPUT_SIZE:  # forward refuses such an input, so it is not counted
+        with pytest.raises(ConfigurationError):
+            count_flops(cfg, h, w)
+        return
     assert count_flops(cfg, h, w) == count_flops(m, h, w) == _macs_by_term(m, h, w)
+
+
+@pytest.mark.parametrize("h, w", [(1, 8), (8, 3)])
+def test_forward_and_count_flops_share_one_minimum_input_size(h, w):
+    m = build(preset("tiny"), seed=0)
+    with pytest.raises(DimensionError):
+        forward(m, np.zeros((1, h, w, 3)))
+    with pytest.raises(ConfigurationError):
+        count_flops(m, h, w)
+    size = MIN_INPUT_SIZE
+    assert forward(m, np.zeros((1, size, size, 3))).shape == (1, m.config.num_classes)
+    assert count_flops(m, size, size) > 0
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -339,6 +356,25 @@ def test_a_taped_T_forward_at_64_holds_at_most_15_mib():
         tracemalloc.stop()
     assert len(tape) == 192 and loss.requires_grad
     assert held <= 15 * 2**20, held / 2**20
+
+
+def test_a_taped_T_step_at_64_holds_only_its_gradients_after_backward():
+    """Backward frees each record as it replays it (tracemalloc, f64, B=1): what a step still
+    holds beyond the new .grad arrays is the logits and the loss; 14.1 MiB before that."""
+    m = build(preset("T"), seed=0)
+    images = _rng(1).normal(size=(1, 64, 64, 3))
+    params = [t for _, t in iter_params(m)]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = softmax_cross_entropy(forward(m, images), np.zeros(1, dtype=np.int64))
+        tape.backward(loss)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grads = sum(t.grad.nbytes for t in params)
+    assert len(tape) == 0 and grads == sum(t.data.nbytes for t in params)
+    assert held - grads <= 2**20, (held - grads) / 2**20
 
 
 def test_an_untaped_T_forward_at_224_peaks_at_most_20_mib():

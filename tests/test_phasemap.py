@@ -236,6 +236,34 @@ def test_read_pgm_rejects_what_write_pgm_never_writes(tmp_path, content):
         read_pgm(str(path))
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        "",  # empty
+        "0.5,0.25\n0.5\n",  # ragged rows
+        "0.5,x\n",  # not a number
+        "0.5,0.25",  # no final newline
+        "0.5, 0.25\n",  # a space export never writes
+        "1\n",  # not the repr of a float
+        "2.0\n",  # out of [-1, 1]
+        "nan\n",
+    ],
+    ids=["empty", "ragged", "non-numeric", "no-newline", "space", "int-text", "out-of-range", "nan"],
+)
+def test_read_phase_map_csv_rejects_what_export_never_writes(tmp_path, content):
+    path = tmp_path / "x.csv"
+    path.write_text(content)
+    with pytest.raises(ContractError):
+        read_phase_map_csv(str(path))
+
+
+def test_read_phase_map_csv_rejects_binary(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ContractError):
+        read_phase_map_csv(str(path))
+
+
 def test_map_rejects_even_window():
     with pytest.raises(ConfigurationError):
         phase_difference_map(np.zeros((2, 2, 3)), 4)

@@ -755,9 +755,11 @@ def test_backward_populates_each_leaf_once_and_zeros_unused():
     tape.backward(loss)
     npt.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-12)
     npt.assert_array_equal(unused.grad, np.zeros(4))
-    # a second backward overwrites, not accumulates
-    tape.backward(loss)
-    npt.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-12)
+    # a tape replays once: a second backward raises and leaves the gradients alone
+    grad = x.grad
+    with pytest.raises(ContractError):
+        tape.backward(loss)
+    assert x.grad is grad
 
 
 def test_backward_hands_each_leaf_an_owned_writeable_grad():
@@ -828,10 +830,59 @@ def test_backward_releases_each_leafs_previous_grad_before_the_walk():
 
     with Tape() as tape:
         loss = T.reduce_sum(probe(x))
+    assert x.grad is None  # released when the tape first recorded x
     tape.backward(loss)
-    tape.backward(loss)  # the first backward's .grad is stale too
-    assert [g is None for g in seen] == [True, True]
+    with pytest.raises(ContractError):
+        tape.backward(loss)  # a tape replays once
+    assert [g is None for g in seen] == [True]
     npt.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_a_step_releases_the_last_steps_grad_during_its_forward():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(w, w))
+    tape.backward(loss)
+    stale = weakref.ref(w.grad)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(w, w))
+        assert stale() is None  # gone before this step's backward
+    tape.backward(loss)
+    npt.assert_array_equal(w.grad, 2.0 * w.data)
+
+
+def test_backward_frees_a_later_record_before_it_replays_an_earlier_one():
+    x = Tensor(np.ones(3), requires_grad=True)
+    held, freed = [], []
+
+    def late(a):  # an identity op whose record alone holds an array
+        kept = a.data.copy()
+        held.append(weakref.ref(kept))
+        return T._result(a.data.copy(), (a,), lambda g: (g * (kept / kept),))
+
+    def early(a):  # an identity op whose backward reports whether late's array is gone
+        def backward(g):
+            freed.append(held[0]() is None)
+            return (g,)
+
+        return T._result(a.data.copy(), (a,), backward)
+
+    with Tape() as tape:
+        loss = T.reduce_sum(late(early(x)))
+    assert held[0]() is not None
+    tape.backward(loss)
+    assert freed == [True] and len(tape) == 0
+    npt.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_a_replayed_tape_records_nothing_more():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ContractError):
+            T.mul(x, x)
+    npt.assert_array_equal(x.grad, 2.0 * x.data)
 
 
 def test_tape_keeps_no_phase_array_alive():

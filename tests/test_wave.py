@@ -57,6 +57,29 @@ def test_non_finite_inputs_rejected(f, args):
         f(*args)
 
 
+@pytest.mark.parametrize("f", [superpose_amplitude, superpose_phase, oracle_superpose])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e308, 1e308, 0.0, 0.0),
+        (2.0**510, 2.0**510 * 1.001, 0.0, 0.0),
+        (1.0, 1.0, 1e300, 0.0),
+        (1.0, 1.0, 0.0, -1e4 - 0.01),
+    ],
+    ids=["sum-overflows", "sum-past-bound", "t1-huge", "t2-past-bound"],
+)
+def test_inputs_outside_the_stated_domain_rejected(f, args):
+    with pytest.raises(DomainError):
+        f(*args)
+
+
+def test_domain_edges_give_finite_agreeing_results():
+    a, t = 2.0**510, wave.MAX_PHASE  # a + a is MAX_AMPLITUDE_SUM
+    assert float(superpose_amplitude(a, a, t, t)) == float(oracle_superpose(a, a, t, t).amplitude)
+    phase = superpose_phase(1.0, 2.0, t, -t)
+    assert _circ_diff(phase, oracle_superpose(1.0, 2.0, t, -t).phase) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # superpose_phase
 
