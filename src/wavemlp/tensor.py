@@ -170,14 +170,12 @@ class Tape:
         grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
         while self._records:  # unpacking the next record frees the last one's closure
             uids, out, backfn = self._records.pop()
-            gout = grads.pop(out, None)
-            if gout is None:
+            if out not in grads:
                 continue  # not on a path to the loss
-            for uid, gin in zip(uids, backfn(gout)):
-                if gin is None or uid is None:
-                    continue
-                have = grads.get(uid)
-                grads[uid] = gin if have is None else have + gin
+            for uid, gin in zip(uids, backfn(grads.pop(out))):
+                if gin is not None and uid is not None:
+                    grads[uid] = grads[uid] + gin if uid in grads else gin
+            gin = None  # nor hold an input's gradient while the next record runs
         # Only leaves (never an op output) remain keyed; assign once each.
         # Copy a gradient that is read-only (a broadcast view or a 0-d input's
         # numpy scalar), already another leaf's, or promoted where two dtypes
