@@ -117,13 +117,14 @@ class Tape:
     that need a gradient and that no record produced, in first-taped order; it
     sets a leaf's ``.grad`` to None when it first records it, so a ``.grad``
     lasts until a new tape records its leaf. ``backward`` seeds the scalar
-    loss with gradient 1, pops the records in reverse, freeing each before the
-    next runs, accumulates gradients keyed by uid, and assigns ``.grad``
-    exactly once on every leaf, the loss included when it is one. Leaves that
-    do not influence the loss receive a zero gradient. Each ``.grad`` is a
-    writeable array that shares no memory with any other leaf's, so it may be
-    modified in place. A tape is single-use: after ``backward`` it holds
-    nothing, and a second ``backward`` or record raises ``ContractError``.
+    loss with gradient 1, pops the records in reverse, freeing each and the
+    gradients it consumed before the next runs, accumulates gradients keyed
+    by uid, and assigns ``.grad`` exactly once on every leaf, the loss
+    included when it is one. Leaves that do not influence the loss receive a
+    zero gradient. Each ``.grad`` is a writeable array that shares no memory
+    with any other leaf's, so it may be modified in place. A tape is
+    single-use: after ``backward`` it holds nothing, and a second
+    ``backward`` or record raises ``ContractError``.
 
     Backward closures hold references to input arrays, not copies: call
     ``backward`` before mutating any participating ``.data`` in place (the

@@ -39,7 +39,7 @@ TWO_PI = 2.0 * np.pi
 ZERO_AMPLITUDE = 1e-14
 
 # The superposition domain (README): (a1 + a2)**2 bounds every square the closed forms
-# take, and past |t| = 1e4 rad they drift from the oracle by more than 1e-10.
+# take, and within |t| <= 1e4 rad they agree with the oracle to 1e-10.
 MAX_AMPLITUDE_SUM = 2.0**511
 MAX_PHASE = 1e4
 

@@ -360,7 +360,7 @@ def test_a_taped_T_forward_at_64_holds_at_most_15_mib():
 
 def test_a_taped_T_step_at_64_holds_only_its_gradients_after_backward():
     """Backward frees each record as it replays it (tracemalloc, f64, B=1): what a step still
-    holds beyond the new .grad arrays is the logits and the loss; 14.1 MiB before that."""
+    holds beyond the new .grad arrays is the logits and the loss; 14.2 MiB before that."""
     m = build(preset("T"), seed=0)
     images = _rng(1).normal(size=(1, 64, 64, 3))
     params = [t for _, t in iter_params(m)]
