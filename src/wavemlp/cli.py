@@ -8,7 +8,11 @@ and builds no model, so its ``--seed`` is only printed. ``check-grads
 codes: 0 success, 1 a check failed, training aborted or an input (config
 file, flag value such as a negative ``--seed``, environment variable) was
 malformed or ``--out`` cannot be written (checked before any training), 2
-usage error (argparse's convention). WAVEMLP_THREADS caps ablation workers.
+usage error (argparse's convention). Any token ``float()`` accepts, such as
+``-1e2`` or ``-inf``, is an option's value. WAVEMLP_THREADS caps ablation
+worker processes; on 2 CPUs two workers nearly halve an ablation's time only
+with ``OPENBLAS_NUM_THREADS=1``, and are slower than one with the default
+BLAS threads (README, "Command line", has the timings).
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ import tempfile
 from . import model as M
 from . import wave
 from .errors import ConfigurationError, OutputError, WaveMlpError
-from .selftest import (
-    check_config_model,
-    check_gradients,
-    pilot_task_config,
-    run_selftest,
-)
+from .selftest import check_config_model, check_gradients, pilot_task_config, run_selftest
 from .synth import GENERATORS, SynthTask, make_dataset
 from .train import ABLATION_AXES, TrainConfig, ablate, train
 
@@ -45,60 +44,68 @@ def _write(write, *args, **kwargs):
         raise OutputError(f"cannot write under --out: {exc}") from None
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--out", default="out", help="output directory for files")
+class _Parser(argparse.ArgumentParser):
+    r"""argparse, except that any token ``float()`` accepts (``-1e2``, ``-.5``, ``-inf``)
+    is a value, not an option: argparse alone treats only ``-\d+`` and ``-\d*.\d+`` as
+    numbers. Subparsers inherit the class, so the rule holds for every subcommand."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="wavemlp", description=__doc__)
+    parser = _Parser(prog="wavemlp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("superpose", help="superpose two waves; closed forms vs oracle")
-    p.add_argument("--a1", type=float, required=True)
-    p.add_argument("--a2", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--t2", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    def command(name, handler, help, out=False):
+        """A subcommand that runs ``handler``, with --seed and, if it writes files, --out."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        if out:
+            p.add_argument("--out", default="out", help="output directory for files")
+        return p
 
-    p = sub.add_parser("count", help="parameter/FLOP accounting for a preset or config")
+    p = command("superpose", _cmd_superpose, "superpose two waves; closed forms vs oracle")
+    for flag in ("--a1", "--a2", "--t1", "--t2"):
+        p.add_argument(flag, type=float, required=True)
+
+    p = command("count", _cmd_count, "parameter/FLOP accounting for a preset or config")
     p.add_argument("--preset", choices=M.PRESETS, default="T")
     p.add_argument("--config", help="JSON ArchConfig (overrides --preset)")
     p.add_argument("--res", type=int, default=224, help="square input resolution")
-    p.add_argument("--seed", type=int, default=0, help="printed only; counting builds no model")
 
-    p = sub.add_parser("check-grads", help="finite-difference gradient suite")
+    p = command("check-grads", _cmd_check_grads, "finite-difference gradient suite")
     p.add_argument("--config", help="also grad-check a model built from this JSON config")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)
 
-    p = sub.add_parser("train", help="train a model on a synthetic task")
+    p = command("train", _cmd_train, "train a model on a synthetic task", out=True)
     p.add_argument("--preset", choices=M.PRESETS, default="tiny")
     p.add_argument("--config", help="JSON ArchConfig (overrides --preset)")
     p.add_argument("--task", choices=GENERATORS, default="interference")
-    p.add_argument("--epochs", type=int, default=None, help="default: committed pilot value")
-    p.add_argument("--batch", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None, dest="weight_decay")
-    p.add_argument("--precision", choices=["f32", "f64"], default=None)
-    _add_common(p)
+    p.add_argument("--epochs", type=int, help="default: committed pilot value")
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--wd", type=float, dest="weight_decay")
+    p.add_argument("--precision", choices=["f32", "f64"])
 
-    p = sub.add_parser("ablate", help="run one ablation axis, emit its CSV table")
+    p = command("ablate", _cmd_ablate, "run one ablation axis, emit its CSV table", out=True)
     p.add_argument("--axis", choices=sorted(ABLATION_AXES), required=True)
     p.add_argument("--task", choices=GENERATORS, default="interference")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--num-seeds", type=int, default=3)
-    _add_common(p)
 
-    p = sub.add_parser("phase-map", help="train briefly, export a phase-difference map")
+    p = command("phase-map", _cmd_phase_map, "train briefly, export a phase-difference map", out=True)
     p.add_argument("--stage", type=int, choices=[3, 4], default=4)
     p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--window", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--window", type=int)
 
-    p = sub.add_parser("selftest", help="run the invariant suite; exit 0 iff all pass")
+    p = command("selftest", _cmd_selftest, "run the invariant suite; exit 0 iff all pass")
     p.add_argument("--full", action="store_true", help="include the committed pilot training run")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -121,9 +128,7 @@ def _cmd_superpose(args) -> int:
 
 
 def _load_cfg(args):
-    if getattr(args, "config", None):
-        return M.load_arch_config(args.config)
-    return M.preset(args.preset)
+    return M.load_arch_config(args.config) if args.config else M.preset(args.preset)
 
 
 def _cmd_count(args) -> int:
@@ -161,10 +166,11 @@ def _cmd_check_grads(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    """The committed pilot recipe with ``--seed`` and only the flags the user set."""
-    names = ("epochs", "batch_size", "lr", "weight_decay", "precision")
-    flags = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
-    return dataclasses.replace(pilot_task_config()[1], seed=args.seed, **flags)
+    """The committed pilot recipe, overridden by each parsed flag that names a
+    ``TrainConfig`` field (``--seed`` always; the others only when set)."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return dataclasses.replace(pilot_task_config()[1], **flags)
 
 
 def _cmd_train(args) -> int:
@@ -229,17 +235,6 @@ def _cmd_selftest(args) -> int:
     return 0 if not failed else 1
 
 
-_HANDLERS = {
-    "superpose": _cmd_superpose,
-    "count": _cmd_count,
-    "check-grads": _cmd_check_grads,
-    "train": _cmd_train,
-    "ablate": _cmd_ablate,
-    "phase-map": _cmd_phase_map,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -249,7 +244,7 @@ def main(argv=None) -> int:
             _write(os.makedirs, args.out, exist_ok=True)
             _write(tempfile.TemporaryFile, dir=args.out).close()
         _kv("seed", args.seed)  # every subcommand's first line
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except WaveMlpError as exc:
         print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -596,6 +596,7 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     xs = [x] if single else list(x)
     for t in xs:
         t.requires_grad = True
+        t.grad = None  # an input f never records must not keep an earlier tape's gradient
 
     def evaluate() -> Tensor:
         y = f(xs[0]) if single else f(xs)

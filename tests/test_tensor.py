@@ -1064,6 +1064,18 @@ def test_grad_check_fails_on_a_non_finite_numeric_derivative():
     assert not rep.passed and np.isnan(rep.max_rel_err), rep
 
 
+def test_grad_check_ignores_a_stale_grad_of_an_input_f_does_not_use():
+    """``b``'s ``.grad`` from an earlier tape is not its derivative here: f never reads b."""
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    with Tape() as tape:
+        y = T.reduce_sum(T.mul(b, b))
+    tape.backward(y)
+    npt.assert_array_equal(b.grad, [6.0, 8.0])
+    rep = grad_check(lambda ts: T.reduce_sum(T.mul(ts[0], ts[0])), [a, b])
+    assert rep.passed and rep.per_input[1] == 0.0, rep
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"step": np.nan}, {"step": np.inf}, {"step": -1e-5}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}],
