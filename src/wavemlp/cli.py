@@ -6,13 +6,11 @@ always printed. ``count`` computes parameters and MACs from the config alone
 and builds no model, so its ``--seed`` is only printed. ``check-grads
 --config`` runs ``selftest.check_config_model`` on the given config. Exit
 codes: 0 success, 1 a check failed, training aborted or an input (config
-file, flag value such as a negative ``--seed``, environment variable) was
-malformed or ``--out`` cannot be written (checked before any training), 2
-usage error (argparse's convention). Any token ``float()`` accepts, such as
-``-1e2`` or ``-inf``, is an option's value. WAVEMLP_THREADS caps ablation
-worker processes; on 2 CPUs two workers nearly halve an ablation's time only
-with ``OPENBLAS_NUM_THREADS=1``, and are slower than one with the default
-BLAS threads (README, "Command line", has the timings).
+file, or a flag value such as a negative ``--seed`` or an ``ablate
+--num-seeds`` outside 3 to 100) was malformed or ``--out`` cannot be written
+(checked before any training), 2 usage error (argparse's convention). Any
+token ``float()`` accepts, such as ``-1e2`` or ``-inf``, is an option's value.
+``ablate`` trains its cells one after another in this process.
 """
 
 from __future__ import annotations
@@ -196,10 +194,10 @@ def _cmd_train(args) -> int:
 def _cmd_ablate(args) -> int:
     task = SynthTask(name=args.task)
     tc = _train_config(args)
-    seeds = tuple(range(args.seed, args.seed + args.num_seeds))
+    seeds = range(args.seed, args.seed + args.num_seeds)
+    table = ablate(args.axis, task, tc, seeds=seeds)  # checks the seed count before training
     _kv("axis", args.axis)
     _kv("seeds", ";".join(str(s) for s in seeds))
-    table = ablate(args.axis, task, tc, seeds=seeds)
     path = _write(table.save, args.out)
     for row in table.rows:
         _kv(f"row_{row.setting}_mean_val_acc", repr(row.mean))

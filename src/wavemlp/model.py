@@ -27,7 +27,7 @@ from .blocks import (
     normalize,
     patch_embed,
 )
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import ConfigurationError, ContractError, DimensionError, NumericError
 from .patm import DEPTHWISE_KERNEL, PhaseMode, _uniform, channel_fc
 from .tensor import Tensor, add, reduce_mean
 
@@ -338,8 +338,11 @@ def stage_walk(
 
 
 def _image_batch(m: ModelParams, images) -> Tensor:
-    """A Tensor as given, else cast to m's dtype; DimensionError unless [B, H>=4, W>=4, C_in]."""
+    """A Tensor of m's dtype as given (ContractError for another dtype), anything else cast
+    to m's dtype; DimensionError unless [B, H>=4, W>=4, C_in]."""
     x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=m.head.dtype))
+    if x.dtype != m.head.dtype:
+        raise ContractError(f"image Tensor is {x.dtype.name}, the model is {m.head.dtype.name}")
     if x.ndim != 4:
         raise DimensionError(f"expected [B, H, W, C] images, got {tuple(x.shape)}")
     if min(x.shape[1:3]) < MIN_INPUT_SIZE:

@@ -277,29 +277,35 @@ _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi)*(x + 0.044715*x^3)) into ``t``, in one fixed operation order."""
+    np.multiply(x, _GELU_A, out=t)
+    t *= x
+    t *= x
+    t += x
+    return np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
     Both passes run slab by slab, in the closed forms' operation order; the
-    record keeps x and the tanh, and backward recomputes 1 + tanh.
+    record keeps only x, and backward recomputes the tanh with ``_gelu_tanh``.
     """
     x = a.data
-    y, tanh = np.empty_like(x), np.empty_like(x) if _taped(a) else None
-    for s, scratch, one_t in _slabs(x.shape, (), x.dtype, x.dtype):
+    y = np.empty_like(x)
+    for s, t in _slabs(x.shape, (), x.dtype):
         xs = x[s]
-        t = np.multiply(xs, _GELU_A, out=scratch if tanh is None else tanh[s])
-        t *= xs
-        t *= xs
-        t += xs
-        np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
         ys = np.multiply(xs, 0.5, out=y[s])
-        ys *= np.add(t, 1.0, out=one_t)
+        ys *= np.add(_gelu_tanh(xs, t), 1.0, out=t)
 
     def backward(g):
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
         dx = np.empty_like(x, dtype=np.result_type(g.dtype, x.dtype))
-        for s, d, h in _slabs(x.shape, (), x.dtype, x.dtype):
-            xs, t, h = x[s], tanh[s], np.multiply(x[s], 0.5, out=h)
+        for s, t, d, h in _slabs(x.shape, (), x.dtype, x.dtype, x.dtype):
+            xs = x[s]
+            _gelu_tanh(xs, t)
+            np.multiply(xs, 0.5, out=h)
             h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
             np.multiply(xs, 3.0 * _GELU_A, out=d)
             d *= xs

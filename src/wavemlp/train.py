@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "accuracy",
     "train",
     "ablate",
-    "ablation_workers",
     "ABLATION_AXES",
 ]
 
@@ -185,16 +184,17 @@ class History:
         return losses, accs
 
 
-def accuracy(m: ModelParams, x: np.ndarray, y: np.ndarray, batch: int = 256) -> float:
+_EVAL_BATCH = 256  # images per untaped forward in ``accuracy``
+
+
+def accuracy(m: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
     """Top-1 accuracy of a non-empty image set with one label per image, evaluated untaped."""
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise ContractError(f"accuracy: batch must be an int >= 1, got {batch!r}")
     if len(x) == 0 or np.shape(y) != (len(x),):
         raise DimensionError(f"accuracy: need one label per image, got {len(x)} and {np.shape(y)}")
     hits = 0
-    for lo in range(0, len(x), batch):
-        logits = forward(m, x[lo : lo + batch])
-        hits += int((logits.data.argmax(axis=1) == y[lo : lo + batch]).sum())
+    for lo in range(0, len(x), _EVAL_BATCH):
+        logits = forward(m, x[lo : lo + _EVAL_BATCH])
+        hits += int((logits.data.argmax(axis=1) == y[lo : lo + _EVAL_BATCH]).sum())
     return hits / len(x)
 
 
@@ -302,69 +302,34 @@ def _cell_config(base: ArchConfig, axis: str, value) -> ArchConfig:
     return replace(base, window=value)
 
 
-def ablation_workers(raw: str | None, cells: int) -> int:
-    """Worker processes from a WAVEMLP_THREADS value (None means 1), clamped to
-    the cell count and os.cpu_count(); ConfigurationError unless an int >= 1."""
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigurationError(f"WAVEMLP_THREADS must be an integer >= 1, got {raw!r}")
-    return min(n, cells, os.cpu_count() or 1)
-
-
-def _run_cell(args) -> tuple[str, int, float]:
-    setting, seed, cfg, task, tc = args
-    _model, history = train(cfg, task, replace(tc, seed=seed))
-    return setting, seed, history.val_acc[-1]
-
-
 def ablate(
     axis: str,
     task: SynthTask,
     tc: TrainConfig,
     base: ArchConfig | None = None,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    seeds: Sequence[int] = (0, 1, 2),
 ) -> AblationTable:
     """Train one model per setting of one axis, over a shared seed set.
 
     Rows mirror the three ablation axes: phase modes (None / Static /
     ChannelFC), estimator forms (Identity / DepthWise / ChannelFC), and
     window sizes (3 / 5 / 7 / All). Values are recorded for inspection, not
-    asserted against anything. Cells run in parallel processes when the
-    WAVEMLP_THREADS environment variable is set above 1 (see
-    ``ablation_workers``). Rows count parameters and MACs from each cell's
+    asserted against anything. Cells train one after another in the calling
+    process, settings then seeds. ``seeds`` holds 3 to 100 seeds, checked
+    before anything trains. Rows count parameters and MACs from each cell's
     config; no model is built for them.
     """
     if axis not in ABLATION_AXES:
         raise ConfigurationError(f"unknown ablation axis {axis!r}; choose from {sorted(ABLATION_AXES)}")
-    if len(seeds) < 3:
-        raise ConfigurationError("ablations use at least 3 seeds")
+    if not 3 <= len(seeds[:101]) <= 100:  # a slice: a huge range is never counted or built
+        raise ConfigurationError("ablations use 3 to 100 seeds")
     if base is None:
         from .model import preset
 
         base = preset("tiny", num_classes=task.num_classes, input_size=task.grid[:2])
-    settings = [(setting, _cell_config(base, axis, value)) for setting, value in ABLATION_AXES[axis]]
-    jobs = [(setting, seed, cfg, task, tc) for setting, cfg in settings for seed in seeds]
-    workers = ablation_workers(os.environ.get("WAVEMLP_THREADS"), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
-    by_setting: dict[str, dict[int, float]] = {}
-    for setting, seed, acc in results:
-        by_setting.setdefault(setting, {})[seed] = acc
-    rows = [
-        AblationRow(
-            setting,
-            count_params(cfg),
-            count_flops(cfg, *task.grid[:2]),
-            tuple(by_setting[setting][s] for s in seeds),
-        )
-        for setting, cfg in settings
-    ]
+    rows = []
+    for setting, value in ABLATION_AXES[axis]:
+        cfg = _cell_config(base, axis, value)
+        accs = tuple(train(cfg, task, replace(tc, seed=seed))[1].val_acc[-1] for seed in seeds)
+        rows.append(AblationRow(setting, count_params(cfg), count_flops(cfg, *task.grid[:2]), accs))
     return AblationTable(axis, rows)

@@ -1,10 +1,13 @@
 """Command-line interface: flags, key=value output, and exit codes."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -372,3 +375,27 @@ def test_ablate_command(tmp_path, capsys):
     assert table[0] == "setting,params,flops,mean_val_acc,sd_val_acc,per_seed_val_acc"
     assert [row.split(",")[0] for row in table[1:]] == ["Identity", "DepthWise", "ChannelFC"]
     assert "row_ChannelFC_mean_val_acc" in out
+
+
+@pytest.mark.parametrize("num_seeds, code", [(-1, 1), (2, 1), (3, 0), (100, 0), (101, 1)])
+def test_ablate_takes_3_to_100_seeds_checked_before_training(tmp_path, capsys, monkeypatch, num_seeds, code):
+    """A seed count outside 3 to 100 is one ConfigurationError line: no cell trains and no
+    seed list prints. ``train`` is stubbed, so the accepted counts run in no time."""
+    calls = []
+
+    def stub(cfg, task, tc):
+        calls.append(tc.seed)
+        return None, SimpleNamespace(val_acc=[0.5])
+
+    monkeypatch.setattr(importlib.import_module("wavemlp.train"), "train", stub)
+    argv = ["ablate", "--axis", "window", "--num-seeds", str(num_seeds), "--out", str(tmp_path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert calls == [] and "seeds=" not in captured.out
+        assert re.fullmatch(r"error=ConfigurationError: .+\n", captured.err), captured.err
+    else:
+        assert calls == list(range(num_seeds)) * 4 and captured.err == ""
+        out = _parse_kv(captured.out)
+        assert out["seeds"] == ";".join(map(str, range(num_seeds)))
+        assert list(out)[:3] == ["seed", "axis", "seeds"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavemlp.blocks import init_block, init_stem
-from wavemlp.errors import ConfigurationError, DimensionError
+from wavemlp.errors import ConfigurationError, ContractError, DimensionError
 from wavemlp.model import (
     REFERENCE_BUDGETS,
     ArchConfig,
@@ -202,6 +202,19 @@ def test_f32_stays_f32_through_a_taped_step(mode):
     state = adamw_init(raw)
     adamw_step(raw, [t.grad for t in leaves[1:]], state, 1, TrainConfig())
     assert {a.dtype for a in raw + state.m + state.v} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
+def test_forward_refuses_an_image_tensor_of_another_dtype(model_dtype):
+    """Only ``build`` sets the precision: an image Tensor must already be the model's dtype,
+    while an array is cast to it."""
+    m = build(preset("tiny"), seed=0, dtype=model_dtype)
+    other = np.float64 if model_dtype == np.float32 else np.float32
+    images = _rng(5).normal(size=(1, 16, 16, 3))
+    with pytest.raises(ContractError, match="image Tensor"):
+        forward(m, Tensor(images.astype(other)))
+    assert forward(m, Tensor(images.astype(model_dtype))).dtype == model_dtype
+    assert forward(m, images.astype(other)).dtype == model_dtype
 
 
 # ---------------------------------------------------------------------------

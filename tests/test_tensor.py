@@ -553,6 +553,23 @@ def test_untaped_gelu_peaks_at_its_output_and_two_slabs():
     assert out.requires_grad
 
 
+def test_taped_gelu_holds_its_output_and_no_tanh():
+    """Taped on a multi-slab f64 input, GELU holds at most 1.25x the input's bytes after the
+    call: its output. The record keeps only x, which the caller holds anyway, and backward
+    recomputes the tanh (2x when the record kept a whole tanh array)."""
+    x = Tensor(_rng(3).normal(size=(4, 28, 28, 64)), requires_grad=True)
+    assert x.size > T._SLAB
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = T.gelu(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1 and out.requires_grad
+    assert held <= 1.25 * x.data.nbytes, held / x.data.nbytes
+
+
 @pytest.mark.parametrize("axis", [1, 2])
 def test_untaped_wave_mix_frees_each_term_once_summed(axis):
     """Untaped, the peak is at most 2x the amplitude's bytes (the output and a few slab

@@ -1,7 +1,7 @@
 """Optimizer, schedule, training loop, synthetic tasks, and ablation tables."""
 
+import importlib
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from wavemlp.train import (
     AdamWState,
     TrainConfig,
     ablate,
-    ablation_workers,
     accuracy,
     adamw_init,
     adamw_step,
@@ -324,18 +323,13 @@ def _accuracy_case(n=3):
     return build(preset("tiny"), seed=0), images, np.zeros(n, dtype=np.int64)
 
 
-def test_accuracy_counts_hits_in_batches():
+def test_accuracy_counts_hits_in_batches(monkeypatch):
     m, images, labels = _accuracy_case()
     labels[1] = 1
     hits = (forward(m, images).data.argmax(axis=1) == labels).sum()
-    assert accuracy(m, images, labels, batch=2) == accuracy(m, images, labels) == hits / 3
-
-
-@pytest.mark.parametrize("batch", [-1, 0, 2.0, True])
-def test_accuracy_rejects_a_batch_that_is_not_a_positive_int(batch):
-    m, images, labels = _accuracy_case()
-    with pytest.raises(ContractError, match="batch"):
-        accuracy(m, images, labels, batch=batch)
+    whole = accuracy(m, images, labels)
+    monkeypatch.setattr(importlib.import_module("wavemlp.train"), "_EVAL_BATCH", 2)
+    assert accuracy(m, images, labels) == whole == hits / 3
 
 
 def test_accuracy_rejects_an_empty_image_set():
@@ -444,27 +438,6 @@ def test_ablate_window_axis_includes_all(tmp_path):
     assert [r.setting for r in table.rows] == ["3", "5", "7", "All"]
     # the All row ties its windows (hence parameters) to the 16x16 input
     assert table.rows[-1].params != table.rows[-2].params
-
-
-def test_ablate_parallel_workers_match_serial(monkeypatch):
-    task = SynthTask(train_size=64, val_size=16, seed=0)
-    serial = ablate("phase_mode", task, _quick_tc(), seeds=(0, 1, 2))
-    monkeypatch.setenv("WAVEMLP_THREADS", "2")
-    parallel = ablate("phase_mode", task, _quick_tc(), seeds=(0, 1, 2))
-    assert serial.csv_text() == parallel.csv_text()
-
-
-def test_ablation_workers_parses_and_clamps(monkeypatch):
-    """Pure parsing of WAVEMLP_THREADS; no process is started here."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert ablation_workers(None, 9) == 1
-    assert ablation_workers("1", 9) == 1
-    assert ablation_workers("3", 9) == 3
-    assert ablation_workers("64", 9) == 4  # clamped to the CPUs
-    assert ablation_workers("64", 2) == 2  # clamped to the cells
-    for bad in ["abc", "", "2.5", "0", "-3"]:
-        with pytest.raises(ConfigurationError):
-            ablation_workers(bad, 9)
 
 
 def test_ablate_rejects_unknown_axis_and_few_seeds():
