@@ -209,10 +209,11 @@ def _cmd_ablate(args) -> int:
 def _cmd_phase_map(args) -> int:
     from .phasemap import check_window, export_phase_map
 
-    if args.window is not None:
-        check_window(args.window)  # before training, not after it
-    task = pilot_task_config()[0]
-    model, hist = train(M.preset("tiny"), task, _train_config(args))
+    task, arch = pilot_task_config()[0], M.preset("tiny")
+    if args.window is not None:  # before training, not after it
+        grid = M.stage_resolutions(arch, *task.grid[:2])[args.stage - 1]
+        check_window(args.window, grid, arch.window)
+    model, hist = train(arch, task, _train_config(args))
     _kv("final_val_acc", repr(hist.val_acc[-1]))
     image = make_dataset(task)[0][0]
     csv_path, pgm_path = _write(export_phase_map, model, image, args.stage, args.out, args.window)

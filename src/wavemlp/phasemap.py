@@ -52,10 +52,15 @@ def phase_grid(m: ModelParams, image: np.ndarray, stage: int) -> np.ndarray:
     return np.asarray(theta.data[0], dtype=np.float64)
 
 
-def check_window(window: int) -> None:
-    """ConfigurationError unless ``window`` is an odd map window >= 1."""
+def check_window(window: int, grid: tuple[int, int] | None = None, mixing: int = 1) -> None:
+    """ConfigurationError unless ``window`` is an odd map window >= 1 and, for an h x w phase
+    ``grid``, at most the larger of the stage's ``mixing`` window and 2*max(h, w) - 1: offsets
+    past that reach no token and would add only zero cells to an (h*window) x (w*window) map."""
     if window < 1 or window % 2 == 0:
         raise ConfigurationError(f"window must be odd and positive, got {window}")
+    bound = window if grid is None else max(mixing, 2 * max(grid) - 1)
+    if window > bound:
+        raise ConfigurationError(f"window must be at most {bound} for a {grid} grid, got {window}")
 
 
 def phase_difference_map(theta: np.ndarray, window: int) -> np.ndarray:
@@ -75,8 +80,9 @@ def export_phase_map(
 ) -> tuple[str, str]:
     """Write phase_map_stage{K}.csv and .pgm for one image; returns the paths."""
     theta = phase_grid(m, image, stage)
-    if window is None:
-        window = m.windows[stage - 1]
+    mixing = m.windows[stage - 1]
+    window = mixing if window is None else window
+    check_window(window, theta.shape[:2], mixing)
     values = phase_difference_map(theta, window)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"phase_map_stage{stage}.csv")

@@ -12,7 +12,8 @@ Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
 over the last axis) is the one matrix product. A Tensor keeps float32 or
 float64 data as given, turns bool, integer and other float data into float64
 and rejects any other data with ``ContractError``; it takes no dtype of its
-own, since ``model.build`` alone sets a model's precision.
+own, since ``model.build`` alone sets a model's precision, and ``_result``
+refuses an op that mixes dtypes, so a graph has one and nothing is promoted.
 Broadcasting follows numpy's trailing-dimension alignment.
 
 ``gelu``, ``window_mix`` and ``wave_mix`` work in slabs of at most ``_SLAB``
@@ -60,8 +61,8 @@ class Tensor:
     """Dense float array with autodiff bookkeeping.
 
     ``data`` is a numpy array (float32 or float64). ``requires_grad=True``
-    marks a leaf whose ``.grad`` is populated by ``Tape.backward``. Tensors
-    produced by ops inherit ``requires_grad`` from their inputs.
+    marks a leaf whose ``.grad`` is populated by ``Tape.backward``. An op's
+    output inherits ``requires_grad`` and the one dtype of its inputs.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "uid")
@@ -121,9 +122,9 @@ class Tape:
     gradients it consumed before the next runs, accumulates gradients keyed
     by uid, and assigns ``.grad`` exactly once on every leaf, the loss
     included when it is one. Leaves that do not influence the loss receive a
-    zero gradient. Each ``.grad`` is a writeable array that shares no memory
-    with any other leaf's, so it may be modified in place. A tape is
-    single-use: after ``backward`` it holds nothing, and a second
+    zero gradient. Each ``.grad`` is a writeable array of the leaf's dtype,
+    sharing no memory with another leaf's, so it may be modified in place. A
+    tape is single-use: after ``backward`` it holds nothing, and a second
     ``backward`` or record raises ``ContractError``.
 
     Backward closures hold references to input arrays, not copies: call
@@ -177,21 +178,16 @@ class Tape:
                 if gin is not None and uid is not None:
                     grads[uid] = grads[uid] + gin if uid in grads else gin
             gin = None  # nor hold an input's gradient while the next record runs
-        # Only leaves (never an op output) remain keyed; assign once each.
-        # Copy a gradient that is read-only (a broadcast view or a 0-d input's
-        # numpy scalar), already another leaf's, or promoted where two dtypes
-        # met, so that each .grad is writeable, owned and of its leaf's dtype.
+        # Only leaves (never an op output) remain keyed; assign once each, copying
+        # a gradient that is read-only (a broadcast view or a 0-d input's numpy
+        # scalar) or already another leaf's, so that each .grad is writeable and owned.
         owners: set[int] = set()  # ids of the buffers already handed to a leaf
         for t in leaves.values():
             g = grads.pop(t.uid, None)
             if g is None:
                 g = np.zeros_like(t.data)
-            elif (
-                g.dtype != t.dtype
-                or not g.flags.writeable
-                or id(g if g.base is None else g.base) in owners
-            ):
-                g = np.array(g, dtype=t.dtype)
+            elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
+                g = np.array(g)
             owners.add(id(g if g.base is None else g.base))
             t.grad = g
 
@@ -202,8 +198,11 @@ def _taped(*tensors: Tensor) -> bool:
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable | None) -> Tensor:
-    """Every op's output: it needs a gradient iff an input does, and is taped iff ``_taped``;
-    an op that is not taped may pass no ``backward``."""
+    """Every op's output, and the one owner of a graph's precision: ContractError unless the
+    inputs and ``data`` share one dtype, before anything is wrapped or taped. The output needs a
+    gradient iff an input does, and is taped iff ``_taped``; untaped, ``backward`` may be None."""
+    if any(t.dtype != data.dtype for t in inputs):
+        raise ContractError(f"one dtype per graph: {[t.dtype.name for t in inputs]} -> {data.dtype}")
     out = Tensor(data, any(t.requires_grad for t in inputs))
     if _taped(out):
         _TAPE_STACK[-1].record(inputs, out, backward)
@@ -233,17 +232,17 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
         ) from None
 
 
-def _slabs(shape: tuple, whole: tuple, *dtypes) -> Iterator[tuple]:
-    """Yield (index, one reused scratch array per dtype) per slab of ``shape``, ``whole`` kept."""
+def _slabs(shape: tuple, whole: tuple, dtype, count: int) -> Iterator[tuple]:
+    """Yield (index, ``count`` reused scratch arrays) per slab of ``shape``, ``whole`` kept."""
     if math.prod(shape) <= _SLAB:  # ... keeps a 0-d slab an array
-        yield ((...,), *(np.empty(shape, dtype) for dtype in dtypes))
+        yield ((...,), *(np.empty(shape, dtype) for _ in range(count)))
         return
     steps = list(shape)  # a slab's extent along each axis
     for ax in range(len(shape)):  # cut the outermost axes first, down to one index if need be
         size = math.prod(map(min, steps, shape))
         if ax not in whole and size > _SLAB:
             steps[ax] = max(1, _SLAB * shape[ax] // size)
-    buffers = [np.empty(math.prod(steps), dtype) for dtype in dtypes]
+    buffers = [np.empty(math.prod(steps), dtype) for _ in range(count)]
     for start in itertools.product(*(range(0, n, k) for n, k in zip(shape, steps))):
         size = tuple(min(k, n - j) for j, k, n in zip(start, steps, shape))
         index = tuple(slice(j, j + k) for j, k in zip(start, steps))
@@ -265,10 +264,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """a * b; the record keeps each operand only if the other's gradient reads it."""
     _check_broadcast(a, b, "mul")
+    sa, sb = a.shape, b.shape
+    ad, bd = (a.data if b.requires_grad else None), (b.data if a.requires_grad else None)
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            None if bd is None else _unbroadcast(g * bd, sa),
+            None if ad is None else _unbroadcast(g * ad, sb),
+        )
 
     return _result(a.data * b.data, (a, b), backward)
 
@@ -294,15 +299,15 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.data
     y = np.empty_like(x)
-    for s, t in _slabs(x.shape, (), x.dtype):
+    for s, t in _slabs(x.shape, (), x.dtype, 1):
         xs = x[s]
         ys = np.multiply(xs, 0.5, out=y[s])
         ys *= np.add(_gelu_tanh(xs, t), 1.0, out=t)
 
     def backward(g):
         # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
-        dx = np.empty_like(x, dtype=np.result_type(g.dtype, x.dtype))
-        for s, t, d, h in _slabs(x.shape, (), x.dtype, x.dtype, x.dtype):
+        dx = np.empty_like(x)
+        for s, t, d, h in _slabs(x.shape, (), x.dtype, 3):
             xs = x[s]
             _gelu_tanh(xs, t)
             np.multiply(xs, 0.5, out=h)
@@ -371,7 +376,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
         dx = (gu - mean_gu - unit * mean_guu) / root
         return dx, _unbroadcast(g * unit, scale.shape), _unbroadcast(g, shift.shape)
 
-    y = np.empty(x.shape, np.result_type(unit, scale.data, shift.data))
+    y = np.empty_like(unit)
     np.add(np.multiply(unit, scale.data, out=y), shift.data, out=y)
     return _result(y, (x, scale, shift), backward)
 
@@ -440,14 +445,14 @@ def _window_sum(shape: tuple, w: np.ndarray, axis: int, opname: str):
 
     def forward(acc, x, tmp):
         acc.fill(0)
-        flat = tmp.reshape(-1) if tmp.dtype == acc.dtype else np.empty(tmp.size, acc.dtype)
+        flat = tmp.reshape(-1)
         for _, wr, dst, src in spans:  # a contiguous view of flat fills faster than tmp[dst]
             xs = x[src]
             acc[dst] += np.multiply(xs, wr, out=flat[: xs.size].reshape(xs.shape))
 
     def adjoint(g, x):
         gx, gw = np.zeros_like(x), np.zeros_like(w)
-        gxs = np.empty(g.shape, np.result_type(g, x))  # g * x, zero-edged: fixes the sum order
+        gxs = np.empty_like(g)  # g * x, zero-edged: fixes the sum order
         for r, wr, dst, src in reversed(spans):
             gx[src] += g[dst] * wr
             gxs[lead + (slice(None, dst[ax].start),)] = gxs[lead + (slice(dst[ax].stop, None),)] = 0
@@ -468,8 +473,8 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
     whole, forward, adjoint = _window_sum(x.shape, w.data, axis, "window_mix")
-    acc = np.empty(x.shape, np.result_type(x.data, w.data))
-    for s, tmp in _slabs(x.shape, whole, acc.dtype):
+    acc = np.empty_like(x.data)
+    for s, tmp in _slabs(x.shape, whole, acc.dtype, 1):
         forward(acc[s], x.data[s], tmp)
     return _result(acc, (x, w), lambda g: adjoint(g, x.data))
 
@@ -490,11 +495,9 @@ def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> T
     inputs, a, th = (amp, theta, theta, wt, wi), amp.data, theta.data
     whole, real_sum, real_adjoint = _window_sum(a.shape, wt.data, axis, "wave_mix")
     _, imag_sum, imag_adjoint = _window_sum(a.shape, wi.data, axis, "wave_mix")
-    wave = np.result_type(a, th)  # the dtype of amp*cos(theta)
-    real_type, imag_type = (np.result_type(wave, w.data) for w in (wt, wi))
-    out = np.empty(a.shape, np.result_type(real_type, imag_type))
+    out = np.empty_like(a)
     c, s = (np.empty_like(th), np.empty_like(th)) if _taped(*inputs) else (None, None)
-    for k, p, tmp, real, imag in _slabs(a.shape, whole, wave, out.dtype, real_type, imag_type):
+    for k, p, tmp, real, imag in _slabs(a.shape, whole, a.dtype, 4):
         real_sum(real, np.multiply(a[k], np.cos(th[k], out=p if c is None else c[k]), out=p), tmp)
         imag_sum(imag, np.multiply(a[k], np.sin(th[k], out=p if s is None else s[k]), out=p), tmp)
         np.add(real, imag, out=out[k])
@@ -592,7 +595,8 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     tensors and ignore its argument. The relative error per element is
     ``|analytic - numeric| / max(1, |numeric|)`` (inputs are assumed O(1)).
     A non-finite analytic or numeric derivative makes that error nan or inf,
-    which fails the check.
+    which fails the check. The default step and tolerance are float64
+    settings, so every input must be float64 (else ContractError).
     """
     if not (math.isfinite(step) and step > 0):
         raise ContractError(f"grad_check: step must be finite and > 0, got {step!r}")
@@ -600,6 +604,8 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
         raise ContractError(f"grad_check: tol must be finite and >= 0, got {tol!r}")
     single = isinstance(x, Tensor)
     xs = [x] if single else list(x)
+    if any(t.dtype != np.float64 for t in xs):
+        raise ContractError(f"grad_check: inputs must be float64, got {[t.dtype.name for t in xs]}")
     for t in xs:
         t.requires_grad = True
         t.grad = None  # an input f never records must not keep an earlier tape's gradient

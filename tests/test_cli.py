@@ -283,7 +283,7 @@ def test_phase_map_command(tmp_path, capsys):
     assert (tmp_path / "phase_map_stage4.pgm").exists()
 
 
-@pytest.mark.parametrize("window", ["0", "4"])
+@pytest.mark.parametrize("window", ["0", "4", "9", str(10**30 + 1)])
 def test_phase_map_checks_window_before_training(tmp_path, capsys, monkeypatch, window):
     def no_training(*args):
         raise AssertionError("phase-map trained before checking --window")

@@ -273,3 +273,23 @@ def test_map_rejects_even_window():
 def test_check_window_rejects_even_and_non_positive(window):
     with pytest.raises(ConfigurationError):
         check_window(window)
+
+
+@pytest.mark.parametrize(
+    "window, grid, mixing, ok",
+    [(7, (1, 1), 7, True), (9, (1, 1), 7, False), (9, (5, 2), 3, True), (11, (5, 2), 3, False)],
+)
+def test_check_window_bounds_a_window_by_the_grid_and_the_mixing_window(window, grid, mixing, ok):
+    """Past the larger of the mixing window and 2*max(h, w) - 1, offsets reach no token."""
+    if ok:
+        check_window(window, grid, mixing)
+    else:
+        with pytest.raises(ConfigurationError, match="at most"):
+            check_window(window, grid, mixing)
+
+
+def test_export_refuses_a_window_past_the_bound_and_writes_nothing(tmp_path):
+    m = build(preset("tiny"), seed=0)  # stage 4 of a 32x32 image is a 1x1 grid, window 7
+    with pytest.raises(ConfigurationError, match="at most 7"):
+        export_phase_map(m, _image(3), 4, str(tmp_path), window=9)
+    assert not any(tmp_path.iterdir())

@@ -191,14 +191,14 @@ def _unary_cases(draw):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(case=_unary_cases(), upstream64=st.booleans())
-@example(case=((), np.float32, 0), upstream64=True)
-@example(case=((), np.float64, 1), upstream64=False)
-def test_gelu_property(case, upstream64):
+@given(case=_unary_cases())
+@example(case=((), np.float32, 0))
+@example(case=((), np.float64, 1))
+def test_gelu_property(case):
     shape, dtype, seed = case
     rng = _rng(seed)
     xd = (2.0 * rng.normal(size=shape)).astype(dtype)
-    gd = rng.normal(size=shape).astype(np.float64 if upstream64 else dtype)
+    gd = rng.normal(size=shape).astype(dtype)
     x = Tensor(xd, requires_grad=True)
     out, records = _taped(T.gelu, (x,), gd)
     assert records == 1
@@ -209,7 +209,7 @@ def test_gelu_property(case, upstream64):
     npt.assert_array_equal(out.data, 0.5 * xd * (1.0 + t))
     dinner = T._GELU_C * (1.0 + 3.0 * T._GELU_A * xd * xd)
     dx = gd * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner)
-    npt.assert_array_equal(x.grad, np.asarray(dx, dtype=dtype))
+    npt.assert_array_equal(x.grad, dx)
     _grad_check64(T.gelu, (xd,), gd)
 
 
@@ -382,18 +382,18 @@ def _window_mix_cases(draw):
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(case=_window_mix_cases(), upstream64=st.booleans())
-@example(case=((2, 0, 3), 1, 9, np.float64, 0), upstream64=False)
-@example(case=((2, 1, 3), 1, 9, np.float32, 1), upstream64=True)
-@example(case=((2, 4, 1, 2), 3, 3, np.float64, 0), upstream64=True)  # dw on the channel axis
-@example(case=((2, 4, 1, 1), 0, 5, np.float64, 0), upstream64=True)  # dw of one channel
-@example(case=((5,), 0, 3, np.float64, 0), upstream64=False)  # one axis: the channels
-def test_window_mix_property(case, upstream64):
+@given(case=_window_mix_cases())
+@example(case=((2, 0, 3), 1, 9, np.float64, 0))
+@example(case=((2, 1, 3), 1, 9, np.float32, 1))
+@example(case=((2, 4, 1, 2), 3, 3, np.float64, 0))  # dw on the channel axis
+@example(case=((2, 4, 1, 1), 0, 5, np.float64, 0))  # dw of one channel
+@example(case=((5,), 0, 3, np.float64, 0))  # one axis: the channels
+def test_window_mix_property(case):
     shape, axis, window, dtype, seed = case
     rng = _rng(seed)
     xd = rng.normal(size=shape).astype(dtype)
     wd = rng.normal(size=(window, shape[-1])).astype(dtype)
-    rd = rng.normal(size=shape).astype(np.float64 if upstream64 else dtype)
+    rd = rng.normal(size=shape).astype(dtype)
     x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
     with Tape() as tape:
         out = T.window_mix(x, w, axis)
@@ -405,7 +405,7 @@ def test_window_mix_property(case, upstream64):
     # bit-equal, in value and dtype, to the zero-padded sum, adjoint included
     want, adjoint = _padded_window_sum_oracle(xd, wd, axis)
     npt.assert_array_equal(out.data, want)
-    dx, dw = adjoint(rd.astype(np.result_type(dtype, rd)))  # the upstream mul hands over rd
+    dx, dw = adjoint(rd)  # the upstream mul hands over rd
     npt.assert_array_equal(x.grad, dx)
     npt.assert_array_equal(w.grad, dw)
     assert dx.dtype == dw.dtype == dtype
@@ -495,7 +495,7 @@ def test_slabs_cover_each_element_once_and_keep_the_whole_axes(case, keep_axis, 
     row = math.prod(shape[ax] for ax in whole)  # a slab holds at least one index of the rest
     seen = np.zeros(shape, dtype=int)
     with mock.patch.object(T, "_SLAB", slab):
-        slabs = list(T._slabs(shape, whole, dtype))
+        slabs = list(T._slabs(shape, whole, dtype, 1))
     for index, scratch in slabs:
         seen[index] += 1
         assert scratch.shape == seen[index].shape and scratch.dtype == dtype
@@ -819,20 +819,6 @@ def test_broadcast_0d_leaf_gets_an_owned_0d_array(dtype):
     npt.assert_array_equal(s.grad, 2.5)  # the mean of x
 
 
-def test_f32_leaf_meeting_f64_operands_gets_an_owned_f32_grad():
-    s = Tensor(np.array(2.0, dtype=np.float32), requires_grad=True)
-    w = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-    x = Tensor(np.arange(6.0).reshape(2, 3))  # float64
-    with Tape() as tape:
-        loss = T.add(T.reduce_mean(T.mul(s, x)), T.reduce_sum(T.linear(x, w)))
-    tape.backward(loss)
-    for t in (s, w):
-        assert t.grad.dtype == np.float32  # numpy promotes the backward's result to float64
-        assert t.grad.flags.writeable and t.grad.flags.owndata
-    npt.assert_array_equal(s.grad, 2.5)
-    npt.assert_array_equal(w.grad, np.tile(x.data.sum(axis=0), (2, 1)))
-
-
 def test_backward_releases_each_leafs_previous_grad_before_the_walk():
     x = Tensor(np.ones(3), requires_grad=True)
     x.grad = np.full(3, 7.0)  # a stale gradient from an earlier step
@@ -918,6 +904,28 @@ def test_tape_keeps_no_phase_array_alive():
     assert all(t.grad.shape == t.shape for t in (x, w, wt, wi))
 
 
+def test_taped_mul_keeps_no_operand_that_only_the_other_gradient_reads():
+    """As in dropout's mask multiply: the mask needs no gradient, so the record drops h."""
+    rng = _rng(12)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    mask = rng.random((2, 3)) > 0.5
+    with Tape() as tape:
+        h = T.gelu(x)
+        hidden = weakref.ref(h.data)
+        loss = T.reduce_sum(T.mul(h, Tensor(mask)))
+        del h
+    gc.collect()
+    assert hidden() is None
+    tape.backward(loss)
+    grad = x.grad
+    m = Tensor(mask, requires_grad=True)  # now both gradients are needed
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(T.gelu(x), m))
+    tape.backward(loss)
+    npt.assert_array_equal(grad, x.grad)
+    npt.assert_array_equal(m.grad, T.gelu(x).data)
+
+
 def test_tape_keeps_no_add_output_that_only_layer_norm_reads():
     rng = _rng(11)
     a, b = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
@@ -991,6 +999,43 @@ def test_op_output_needs_grad_iff_an_input_does_and_is_taped_iff_a_tape_is_activ
         assert tape._records[0][1] == out.uid
     out, _ = run([True] * len(shapes), taped=False)
     assert out.requires_grad and not records
+
+
+_MIXABLE = ["add", "mul", "linear", "layer_norm", "window_mix", "wave_mix"]  # the multi-input ops
+
+
+@st.composite
+def _mixed_dtype_cases(draw):
+    name = draw(st.sampled_from(_MIXABLE))
+    n = len(_OPS[name][1])
+    dtypes = draw(
+        st.lists(st.sampled_from([np.float32, np.float64]), min_size=n, max_size=n).filter(
+            lambda ds: len(set(ds)) == 2
+        )
+    )
+    return name, dtypes, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_mixed_dtype_cases())
+def test_an_op_mixing_float32_and_float64_is_refused_and_tapes_nothing(case):
+    name, dtypes, seed = case
+    op, shapes = _OPS[name]
+    rng = _rng(seed)
+    arrays = [rng.normal(size=s) for s in shapes]
+    ts = [Tensor(a.astype(d), requires_grad=True) for a, d in zip(arrays, dtypes)]
+    stale = [np.full(t.shape, 7.0, t.dtype) for t in ts]
+    for t, g in zip(ts, stale):
+        t.grad = g  # a recorded leaf would drop it
+    with Tape() as tape:
+        T.gelu(Tensor(np.ones(2), requires_grad=True))
+        with pytest.raises(ContractError, match="one dtype per graph"):
+            op(*ts)
+        assert len(tape) == 1
+        assert all(t.grad is g for t, g in zip(ts, stale))
+        same = [Tensor(a.astype(dtypes[0]), requires_grad=True) for a in arrays]
+        out = op(*same)
+    assert len(tape) == 2 and out.dtype == dtypes[0]
 
 
 @pytest.mark.parametrize(
@@ -1102,6 +1147,18 @@ def test_grad_check_rejects_a_bad_step_or_tolerance(kwargs):
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError):
         grad_check(lambda t: T.reduce_sum(T.mul(t, t)), x, **kwargs)
+
+
+@pytest.mark.parametrize("dtypes", [[np.float32], [np.float64, np.float32]], ids=["f32", "f64-f32"])
+def test_grad_check_refuses_an_input_that_is_not_float64_before_its_tape(dtypes):
+    xs = [Tensor(np.ones(3, d), requires_grad=True) for d in dtypes]
+    stale = [np.ones(3, d) for d in dtypes]
+    for t, g in zip(xs, stale):
+        t.grad = g
+    calls = []
+    with pytest.raises(ContractError, match="float64"):
+        grad_check(lambda ts: calls.append(ts) or T.reduce_sum(T.mul(ts[0], ts[0])), xs)
+    assert not calls and all(t.grad is g for t, g in zip(xs, stale))
 
 
 def test_grad_check_rejects_non_scalar():
