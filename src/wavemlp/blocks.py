@@ -3,8 +3,9 @@
 A block normalizes its input once, feeds that through three parallel
 branches (phase-aware mixing along height, along width, and a direct
 channel-FC), sums them onto the residual, then applies a pre-norm two-layer
-channel MLP with GELU. A stem is the taped ``patchify``, which cuts
-non-overlapping patches and zero-pads ragged edges, then one channel-FC.
+channel MLP with GELU, whose second FC applies GELU and dropout as its
+prologue. A stem is the taped ``patchify``, which cuts non-overlapping
+patches and zero-pads ragged edges, then one channel-FC.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_forward
-from .tensor import Tensor, add, gelu, layer_norm, mul, patchify
+from .tensor import Tensor, add, layer_norm, patchify
 
 __all__ = [
     "NORM_EPS",
@@ -87,15 +88,18 @@ def channel_mlp_forward(
 ) -> Tensor:
     """Residual two-layer per-token MLP with GELU.
 
-    Dropout (inverted, on the hidden activations) is applied only when a
-    probability and an rng are both supplied; the correctness path never is.
+    The second FC takes the pre-activation with ``linear``'s GELU prologue, so the
+    [tokens, e*d] hidden activation is never kept: the tape keeps the pre-activation
+    once, and a boolean keep-mask with dropout on. Dropout (inverted, on the hidden
+    activations) is applied only when a probability and an rng are both supplied;
+    the correctness path never is.
     """
     n = normalize(x, b.norm2.scale, b.norm2.shift)
-    hidden = gelu(channel_fc(n, b.mlp_fc1))
+    pre = channel_fc(n, b.mlp_fc1)
+    mask = None
     if dropout > 0.0 and rng is not None:
-        keep = (rng.random(hidden.shape) >= dropout).astype(hidden.dtype)
-        hidden = mul(hidden, Tensor(keep / (1.0 - dropout)))
-    return add(x, channel_fc(hidden, b.mlp_fc2))
+        mask = (rng.random(pre.shape) >= dropout, dropout)
+    return add(x, channel_fc(pre, b.mlp_fc2, gelu=True, dropout=mask))
 
 
 def block_forward(

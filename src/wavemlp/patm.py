@@ -103,9 +103,15 @@ def _axis_index(axis: str) -> int:
     return AXIS_INDEX[axis]
 
 
-def channel_fc(x: Tensor, w: Tensor) -> Tensor:
-    """y_j = W @ x_j for every token; x is [..., c_in], W [c_out, c_in]; linear checks shapes."""
-    return linear(x, w)
+def channel_fc(
+    x: Tensor, w: Tensor, gelu: bool = False, dropout: tuple[np.ndarray, float] | None = None
+) -> Tensor:
+    """y_j = W @ h_j for every token; x is [..., c_in], W [c_out, c_in]; linear checks shapes.
+
+    h is x, or with ``gelu`` and ``dropout`` the channel MLP's hidden activation, built
+    from x by ``linear``'s prologue. Every channel-FC of the model passes through here.
+    """
+    return linear(x, w, gelu, dropout)
 
 
 def compute_amplitude(x: Tensor, wc: Tensor) -> Tensor:

@@ -8,17 +8,23 @@ reads. Replaying the records in reverse creation order is backpropagation:
 creation order is a topological order, so every consumer of a value is visited
 before its producer. A tape replays once and frees each record as it replays it.
 
-Ops take ``Tensor`` arguments only; nothing is coerced. ``linear`` (x @ w.T
-over the last axis) is the one matrix product. A Tensor keeps float32 or
-float64 data as given, turns bool, integer and other float data into float64
-and rejects any other data with ``ContractError``; it takes no dtype of its
-own, since ``model.build`` alone sets a model's precision, and ``_result``
-refuses an op that mixes dtypes, so a graph has one and nothing is promoted.
-Broadcasting follows numpy's trailing-dimension alignment.
+Ops take ``Tensor`` arguments only, bar settings such as an eps, labels or a
+keep-mask; nothing is coerced. ``linear`` (h @ w.T over the last axis) is the
+one matrix product. A Tensor keeps float32 or float64 data as given, turns
+bool, integer and other float data into float64 and rejects any other data
+with ``ContractError``; it takes no dtype of its own, since ``model.build``
+alone sets a model's precision, and ``_result`` refuses an op that mixes
+dtypes, so a graph has one and nothing is promoted. Broadcasting follows
+numpy's trailing-dimension alignment.
 
-``gelu``, ``window_mix`` and ``wave_mix`` work in slabs of at most ``_SLAB``
-elements, cut only along axes the op treats independently, with reused scratch.
-``linear``, ``layer_norm`` and sums across cut axes (``dw``) are never sliced.
+``linear`` may apply GELU, then a dropout mask, to x before the product (its
+prologue): the channel MLP's second FC keeps only the pre-activation and a
+boolean keep-mask, and rebuilds the hidden activation in backward.
+
+``gelu`` (alone or as that prologue), ``window_mix`` and ``wave_mix`` work in
+slabs of at most ``_SLAB`` elements, cut only along axes the op treats
+independently, with reused scratch. The product in ``linear``, ``layer_norm``
+and sums across cut axes (``dw``) are never sliced.
 """
 
 from __future__ import annotations
@@ -291,6 +297,56 @@ def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.tanh(np.multiply(t, _GELU_C, out=t), out=t)
 
 
+def _dropout_mask(keep: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """Inverted dropout's float mask keep / (1 - p), built in ``out``'s dtype."""
+    np.copyto(out, keep)
+    out /= 1.0 - p
+    return out
+
+
+def _gelu_forward(x: np.ndarray, dropout: tuple[np.ndarray, float] | None = None) -> np.ndarray:
+    """gelu(x), times the mask of ``dropout`` = (keep, p) when given, slab by slab."""
+    y = np.empty_like(x)
+    for s, t in _slabs(x.shape, (), x.dtype, 1):
+        xs = x[s]
+        ys = np.multiply(xs, 0.5, out=y[s])
+        ys *= np.add(_gelu_tanh(xs, t), 1.0, out=t)
+        if dropout is not None:
+            ys *= _dropout_mask(dropout[0][s], dropout[1], t)
+    return y
+
+
+def _gelu_backward(
+    x: np.ndarray,
+    dy: np.ndarray,
+    out: np.ndarray,
+    dropout: tuple[np.ndarray, float] | None = None,
+    y: np.ndarray | None = None,
+) -> None:
+    """dx = dy * mask * gelu'(x) into ``out`` (which may be dy), slab by slab; given ``y``, also
+    rebuild the forward's gelu(x) * mask there from the same tanh slab."""
+    for s, t, d, h in _slabs(x.shape, (), x.dtype, 3):
+        xs, gs = x[s], dy[s]
+        _gelu_tanh(xs, t)
+        np.multiply(xs, 0.5, out=h)
+        if y is not None:
+            ys = np.multiply(h, np.add(t, 1.0, out=d), out=y[s])
+        if dropout is not None:
+            _dropout_mask(dropout[0][s], dropout[1], d)
+            if y is not None:
+                ys *= d
+            gs = np.multiply(gs, d, out=out[s])
+        # 0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x)
+        h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
+        np.multiply(xs, 3.0 * _GELU_A, out=d)
+        d *= xs
+        d += 1.0
+        h *= np.multiply(d, _GELU_C, out=d)
+        np.multiply(np.add(t, 1.0, out=d), 0.5, out=d)
+        d += h
+        np.multiply(gs, d, out=out[s])
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
@@ -298,56 +354,58 @@ def gelu(a: Tensor) -> Tensor:
     record keeps only x, and backward recomputes the tanh with ``_gelu_tanh``.
     """
     x = a.data
-    y = np.empty_like(x)
-    for s, t in _slabs(x.shape, (), x.dtype, 1):
-        xs = x[s]
-        ys = np.multiply(xs, 0.5, out=y[s])
-        ys *= np.add(_gelu_tanh(xs, t), 1.0, out=t)
 
     def backward(g):
-        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*sqrt(2/pi)*(1 + 3*0.044715*x*x))
         dx = np.empty_like(x)
-        for s, t, d, h in _slabs(x.shape, (), x.dtype, 3):
-            xs = x[s]
-            _gelu_tanh(xs, t)
-            np.multiply(xs, 0.5, out=h)
-            h *= np.subtract(1.0, np.multiply(t, t, out=d), out=d)
-            np.multiply(xs, 3.0 * _GELU_A, out=d)
-            d *= xs
-            d += 1.0
-            h *= np.multiply(d, _GELU_C, out=d)
-            np.multiply(np.add(t, 1.0, out=d), 0.5, out=d)
-            d += h
-            np.multiply(g[s], d, out=dx[s])
+        _gelu_backward(x, g, dx)
         return (dx,)
 
-    return _result(y, (a,), backward)
+    return _result(_gelu_forward(x), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
 # fused per-token layers
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """y = x @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
+def linear(
+    x: Tensor, w: Tensor, gelu: bool = False, dropout: tuple[np.ndarray, float] | None = None
+) -> Tensor:
+    """y = h @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
 
-    Gradients: dx = g @ w and dw = g.T @ x (C-ordered, like w), x and g flattened to 2-D.
+    h is x, or with the GELU prologue (``gelu=True``) gelu(x), times inverted dropout's
+    mask keep / (1 - p) when ``dropout`` = (keep, p) gives a boolean keep-mask of x's
+    shape and a probability in [0, 1). The record keeps x and keep, never h. Gradients:
+    dh = g @ w and dw = g.T @ h (C-ordered, like w), x, g and h flattened to 2-D; with
+    the prologue, backward rebuilds h slab by slab from the same tanh pass that takes dh
+    through the mask and GELU's derivative to dx, so it runs no more tanh than ``gelu``.
     """
     if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
             f"linear: weight {tuple(w.shape)} does not map the last axis of {tuple(x.shape)}"
         )
+    if dropout is not None:
+        keep, p = dropout
+        if not gelu or not 0.0 <= p < 1.0:
+            raise ContractError(f"linear: dropout needs the GELU prologue and p in [0, 1), got {p!r}")
+        if not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_ and keep.shape == x.shape):
+            raise DimensionError(f"linear: dropout needs a boolean keep-mask of shape {tuple(x.shape)}")
     c_out, c_in = w.shape
-    lead = x.shape[:-1]
-    x2 = x.data.reshape(math.prod(lead), c_in)
+    lead, xd = x.shape[:-1], x.data
+    rows = (math.prod(lead), c_in)
+    h = _gelu_forward(xd, dropout) if gelu else xd
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
         dx = (g2 @ w.data).reshape(x.shape) if x.requires_grad else None
-        dw = g2.T @ x2 if w.requires_grad else None
-        return dx, dw
+        rebuilt = xd
+        if gelu and dx is None:
+            rebuilt = _gelu_forward(xd, dropout)  # only dw reads it
+        elif gelu:
+            rebuilt = np.empty_like(xd) if w.requires_grad else None
+            _gelu_backward(xd, dx, dx, dropout, rebuilt)  # dh becomes dx in place
+        return dx, (g2.T @ rebuilt.reshape(rows) if w.requires_grad else None)
 
-    return _result((x2 @ w.data.T).reshape(lead + (c_out,)), (x, w), backward)
+    return _result((h.reshape(rows) @ w.data.T).reshape(lead + (c_out,)), (x, w), backward)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:

@@ -205,13 +205,14 @@ def train(
     """Cross-entropy training of ``arch`` on a synthetic task.
 
     Loss is recorded per step, accuracy per epoch. Aborts with NumericError
-    (naming the step, layer or parameter) if a loss, activation or gradient
-    leaves the finite range; numpy's overflow and invalid-value warnings are
+    (naming the step, counted from 0 as in losses.csv, and the layer or the
+    parameter's ``iter_params`` path) if a loss, activation or gradient leaves
+    the finite range; numpy's overflow and invalid-value warnings are
     silenced, since that error is the report.
     """
     x_train, y_train, x_val, y_val = make_dataset(task)
     model = build(arch, seed=tc.seed, dtype=_DTYPES[tc.precision])
-    params = [t for _, t in iter_params(model)]
+    names, params = zip(*iter_params(model))
     raw = [t.data for t in params]
     state = adamw_init(raw)
     batch_rng = np.random.default_rng(tc.seed)
@@ -233,7 +234,11 @@ def train(
             if not math.isfinite(loss_val):
                 raise NumericError(f"training diverged: non-finite loss at step {step}")
             tape.backward(loss)
-            adamw_step(raw, [t.grad for t in params], state, step + 1, tc, lr=lr_t)
+            try:
+                adamw_step(raw, [t.grad for t in params], state, step + 1, tc, lr=lr_t)
+            except NumericError:  # the same first parameter, named by its path
+                name = next(n for n, t in zip(names, params) if not np.isfinite(t.grad).all())
+                raise NumericError(f"non-finite gradient in {name} at step {step}") from None
             history.loss.append(loss_val)
             history.lr.append(lr_t)
             step += 1

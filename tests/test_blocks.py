@@ -1,5 +1,7 @@
 """Composite layers: residual blocks, channel MLP, normalization, stems."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,8 +18,8 @@ from wavemlp.blocks import (
 )
 from wavemlp.errors import ConfigurationError, DimensionError
 from wavemlp.model import iter_params
-from wavemlp.patm import PhaseMode, init_patm
-from wavemlp.tensor import Tensor, grad_check, mul, reduce_mean
+from wavemlp.patm import PhaseMode, channel_fc, init_patm
+from wavemlp.tensor import Tape, Tensor, add, gelu, grad_check, mul, reduce_mean, reduce_sum
 
 
 def _rng(seed=0):
@@ -118,6 +120,56 @@ def test_channel_mlp_gradients():
         tol=1e-4,
     )
     assert rep.passed, rep
+
+
+def _chain_mlp(x, b, dropout, rng):
+    """The channel MLP as three taped ops, gelu -> mul by keep / (1 - p) -> fc2."""
+    n = normalize(x, b.norm2.scale, b.norm2.shift)
+    hidden = gelu(channel_fc(n, b.mlp_fc1))
+    keep = (rng.random(hidden.shape) >= dropout).astype(hidden.dtype)
+    return add(x, channel_fc(mul(hidden, Tensor(keep / (1.0 - dropout))), b.mlp_fc2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_mlp_with_dropout_is_bit_equal_to_the_three_op_chain(dtype):
+    """Logits and every gradient, byte for byte, with dropout 0.1 over several slabs."""
+    runs = []
+    for mlp in (_chain_mlp, channel_mlp_forward):
+        b = init_block(8, 4, 3, PhaseMode.NONE, _rng(13))
+        leaves = [Tensor(_rng(14).normal(size=(2, 16, 16, 8)).astype(dtype), requires_grad=True)]
+        leaves += [b.mlp_fc1, b.mlp_fc2, b.norm2.scale, b.norm2.shift]
+        for t in leaves[1:]:
+            t.data = t.data.astype(dtype)
+        with Tape() as tape:
+            out = mlp(leaves[0], b, 0.1, _rng(15))
+            loss = reduce_sum(mul(out, out))
+        tape.backward(loss)
+        runs.append([a.tobytes() for a in [out.data] + [t.grad for t in leaves]])
+    assert runs[0] == runs[1]
+
+
+def _held_by_a_taped_mlp(b, x, dropout):
+    rng = _rng(16)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = channel_mlp_forward(x, b, dropout, rng)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return held, len(tape)
+
+
+def test_channel_mlp_dropout_keeps_one_byte_per_hidden_element():
+    """With dropout on, the tape keeps the boolean keep-mask on top of what it keeps without
+    dropout: one byte per hidden element, not a float mask (8 bytes at f64)."""
+    b = init_block(8, 4, 3, PhaseMode.NONE, _rng(17))
+    x = Tensor(_rng(18).normal(size=(2, 16, 16, 8)), requires_grad=True)
+    hidden = x.size * 4
+    (dropped, records), (plain, plain_records) = (_held_by_a_taped_mlp(b, x, p) for p in (0.1, 0.0))
+    assert 0 < dropped - plain <= hidden + 1024, (dropped - plain) / hidden
+    assert records == plain_records == 4  # norm, fc1, fc2 with the prologue, residual
 
 
 def test_two_block_stack_gradients():

@@ -93,6 +93,94 @@ def test_linear_bad_arguments():
         T.linear(Tensor(np.zeros(())), Tensor(np.zeros((1, 1))))  # no channel axis
 
 
+@st.composite
+def _prologue_cases(draw):
+    """linear's GELU prologue: lead axes (a 0-size one too), mask or not, which inputs need a
+    gradient, and a slab size small enough for several slabs with a ragged last one."""
+    lead = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    masked = draw(st.booleans())
+    needs = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    slab = draw(st.sampled_from([1, 4, 7, 30, 2**62]))
+    return lead, c_in, c_out, dtype, masked, needs, slab, draw(st.integers(0, 2**16))
+
+
+def _prologue_run(fused, xd, wd, gd, needs, keep, p):
+    """(output, x.grad, w.grad, records of the op, whether forward's hidden array outlived
+    forward) for gelu -> mul -> linear, or for linear with the prologue (``fused``)."""
+    x, w = Tensor(xd, requires_grad=needs[0]), Tensor(wd, requires_grad=needs[1])
+    hidden = []  # weakrefs to what _gelu_forward returns, forward's first
+    forward = T._gelu_forward
+
+    def spy(*args):
+        h = forward(*args)
+        hidden.append(weakref.ref(h))
+        return h
+
+    with mock.patch.object(T, "_gelu_forward", spy), Tape() as tape:
+        if fused:
+            out = T.linear(x, w, gelu=True, dropout=None if keep is None else (keep, p))
+        else:
+            h = T.gelu(x)
+            if keep is not None:
+                h = T.mul(h, Tensor(keep.astype(xd.dtype) / (1.0 - p)))
+            out = T.linear(h, w)
+        records = len(tape)
+        loss = T.reduce_sum(T.mul(out, Tensor(gd)))
+        gc.collect()
+        kept = hidden[0]() is not None
+        tape.backward(loss)
+    return out.data, x.grad, w.grad, records, kept
+
+
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_prologue_cases())
+@example(case=((3, 70), 200, 3, np.float32, True, (True, True), T._SLAB, 1))  # ragged real slabs
+@example(case=((2, 0, 3), 4, 2, np.float64, True, (True, True), 1, 2))  # a 0-size lead axis
+def test_linear_gelu_prologue_is_bit_equal_to_the_gelu_mul_linear_chain(case):
+    """Output, dx and dw are byte-equal to the three-op chain; the op makes one record, and
+    the hidden array its forward builds dies before backward."""
+    lead, c_in, c_out, dtype, masked, needs, slab, seed = case
+    rng = _rng(seed)
+    xd = (2.0 * rng.normal(size=lead + (c_in,))).astype(dtype)
+    wd = rng.normal(size=(c_out, c_in)).astype(dtype)
+    gd = rng.normal(size=lead + (c_out,)).astype(dtype)
+    keep = rng.random(xd.shape) >= 0.25 if masked else None
+    with mock.patch.object(T, "_SLAB", slab):
+        want = _prologue_run(False, xd, wd, gd, needs, keep, 0.25)
+        got = _prologue_run(True, xd, wd, gd, needs, keep, 0.25)
+    assert [_bits(a) for a in got[:3]] == [_bits(a) for a in want[:3]]
+    assert got[3] == 1 and not got[4]
+    assert (got[1] is None) != needs[0] and (got[2] is None) != needs[1]
+
+
+def test_linear_gelu_prologue_gradients_with_dropout():
+    rng = _rng(21)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    r, keep = Tensor(rng.normal(size=(2, 3, 5))), rng.random((2, 3, 4)) >= 0.3
+    rep = grad_check(lambda ts: T.reduce_sum(T.mul(T.linear(*ts, True, (keep, 0.3)), r)), [x, w])
+    assert rep.passed, rep
+
+
+def test_linear_refuses_a_dropout_mask_it_cannot_apply():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3)))
+    keep = np.ones((2, 3), dtype=bool)
+    for bad in (np.ones((2, 3)), np.ones((3, 2), dtype=bool), [[True] * 3] * 2):
+        with pytest.raises(DimensionError, match="keep-mask"):
+            T.linear(x, w, gelu=True, dropout=(bad, 0.1))
+    for p in (1.0, -0.1, float("nan")):
+        with pytest.raises(ContractError, match="dropout"):
+            T.linear(x, w, gelu=True, dropout=(keep, p))
+    with pytest.raises(ContractError, match="GELU prologue"):
+        T.linear(x, w, dropout=(keep, 0.1))
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(case=_last_axis_cases())
 def test_layer_norm_property(case):

@@ -318,6 +318,32 @@ def test_diverging_training_raises_without_numpy_warnings():
     assert [str(w.message) for w in caught] == []
 
 
+def test_train_names_the_parameter_whose_gradient_is_not_finite(monkeypatch):
+    """Called from train, AdamW's NumericError names the parameter by its iter_params path and
+    the step as losses.csv counts it (a direct call's "parameter {i} at step {t}" is checked by
+    test_adamw_step_matches_the_per_tensor_loop)."""
+    train_module = importlib.import_module("wavemlp.train")
+    models, steps = [], []
+
+    def build_and_keep(*args, **kwargs):
+        models.append(build(*args, **kwargs))
+        return models[-1]
+
+    class PoisonedTape(train_module.Tape):
+        def backward(self, loss):
+            super().backward(loss)
+            steps.append(len(steps))
+            if len(steps) == 2:  # the second step's gradient of one MLP weight
+                dict(iter_params(models[0]))["stages.2.0.mlp_fc2"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(train_module, "build", build_and_keep)
+    monkeypatch.setattr(train_module, "Tape", PoisonedTape)
+    task = SynthTask(name="interference", seed=0)
+    with pytest.raises(NumericError, match=r"^non-finite gradient in stages\.2\.0\.mlp_fc2 at step 1$"):
+        train(preset("tiny"), task, TrainConfig(epochs=1))
+    assert steps == [0, 1]
+
+
 def _accuracy_case(n=3):
     images = _rng(4).normal(size=(n, 16, 16, 3))
     return build(preset("tiny"), seed=0), images, np.zeros(n, dtype=np.int64)
