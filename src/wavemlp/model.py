@@ -29,7 +29,7 @@ from .blocks import (
 )
 from .errors import ConfigurationError, ContractError, DimensionError, NumericError
 from .patm import DEPTHWISE_KERNEL, PhaseMode, _uniform, channel_fc
-from .tensor import Tensor, add, reduce_mean
+from .tensor import _TAPE_STACK, Tensor, add, reduce_mean
 
 __all__ = [
     "StageSpec",
@@ -358,11 +358,17 @@ def forward(m: ModelParams, images, rng: np.random.Generator | None = None) -> T
     ``stage_walk`` over the four stages, a final norm, a mean over the token
     grid, then the head (a channel-FC of the pooled features plus a bias).
     ``_image_batch`` casts and checks the images. ``rng`` enables dropout
-    (training only); omit it for deterministic evaluation. Raises
-    NumericError naming the first layer (``stems.i``, ``stages.i.j`` or
-    ``head``) that produced a non-finite value.
+    (training only); omit it for deterministic evaluation. Under an active
+    ``Tape``, every parameter's ``.grad`` is set to None before the stem runs,
+    so the last step's gradients never sit beside the growing tape (even if
+    the forward then raises). Raises NumericError naming the first layer
+    (``stems.i``, ``stages.i.j`` or ``head``) that produced a non-finite value.
     """
-    x = stage_walk(_image_batch(m, images), m.stems, m.stages, m.config.dropout, rng)
+    images = _image_batch(m, images)
+    if _TAPE_STACK:
+        for _, t in iter_params(m):
+            t.grad = None
+    x = stage_walk(images, m.stems, m.stages, m.config.dropout, rng)
     x = normalize(x, m.final_norm.scale, m.final_norm.shift)
     pooled = reduce_mean(x, axis=(1, 2))
     logits = add(channel_fc(pooled, m.head), m.head_bias)

@@ -123,14 +123,22 @@ class Tape:
     the output uid and the backward closure. The tape keeps the leaves, inputs
     that need a gradient and that no record produced, in first-taped order; it
     sets a leaf's ``.grad`` to None when it first records it, so a ``.grad``
-    lasts until a new tape records its leaf. ``backward`` seeds the scalar
+    lasts until a new tape records its leaf (``model.forward`` drops every
+    parameter's at once before it runs). ``backward`` seeds the scalar
     loss with gradient 1, pops the records in reverse, freeing each and the
     gradients it consumed before the next runs, accumulates gradients keyed
     by uid, and assigns ``.grad`` exactly once on every leaf, the loss
-    included when it is one. Leaves that do not influence the loss receive a
-    zero gradient. Each ``.grad`` is a writeable array of the leaf's dtype,
-    sharing no memory with another leaf's, so it may be modified in place. A
-    tape is single-use: after ``backward`` it holds nothing, and a second
+    included when it is one. A backward closure may return an input's
+    gradient as a zero-argument callable (``linear``'s dw for few tokens):
+    the walk calls it at once unless that input is a leaf. A leaf's
+    callables, and every contribution to it after its first callable, wait
+    until the walk has freed the records; then each leaf's contributions
+    are folded in replay order, before any ``.grad`` is assigned, so every
+    sum is the one an eager walk would take and results are bit-identical.
+    Leaves that do not influence the loss receive a zero gradient. Each
+    ``.grad`` is a writeable array of the leaf's dtype, sharing no memory
+    with another leaf's, so it may be modified in place. A tape is
+    single-use: after ``backward`` it holds nothing, and a second
     ``backward`` or record raises ``ContractError``.
 
     Backward closures hold references to input arrays, not copies: call
@@ -176,14 +184,27 @@ class Tape:
             self._leaves.setdefault(loss.uid, loss)
         leaves, self._leaves, self._produced, self._spent = self._leaves, {}, set(), True
         grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
+        late: dict[int, list] = {}  # a leaf's contributions from its first callable on
+
+        def fold(uid, gin):
+            gin = gin() if callable(gin) else gin
+            grads[uid] = grads[uid] + gin if uid in grads else gin
+
         while self._records:  # unpacking the next record frees the last one's closure
             uids, out, backfn = self._records.pop()
             if out not in grads:
                 continue  # not on a path to the loss
             for uid, gin in zip(uids, backfn(grads.pop(out))):
-                if gin is not None and uid is not None:
-                    grads[uid] = grads[uid] + gin if uid in grads else gin
+                if gin is None or uid is None:
+                    continue
+                if uid in late or (callable(gin) and uid in leaves):
+                    late.setdefault(uid, []).append(gin)
+                else:
+                    fold(uid, gin)
             gin = None  # nor hold an input's gradient while the next record runs
+        for uid in list(late):  # popped, so each leaf's callables die once they have run
+            for gin in late.pop(uid):  # in replay order: every sum is the one the walk would take
+                fold(uid, gin)
         # Only leaves (never an op output) remain keyed; assign once each, copying
         # a gradient that is read-only (a broadcast view or a 0-d input's numpy
         # scalar) or already another leaf's, so that each .grad is writeable and owned.
@@ -378,6 +399,9 @@ def linear(
     dh = g @ w and dw = g.T @ h (C-ordered, like w), x, g and h flattened to 2-D; with
     the prologue, backward rebuilds h slab by slab from the same tanh pass that takes dh
     through the mask and GELU's derivative to dx, so it runs no more tanh than ``gelu``.
+    When dw is larger than the g and h it is computed from, rows * (c_out + c_in) <
+    c_out * c_in (few tokens, wide channels), backward returns it as a zero-argument
+    callable over g and h, which ``Tape.backward`` runs late (see ``Tape``).
     """
     if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
@@ -392,6 +416,7 @@ def linear(
     c_out, c_in = w.shape
     lead, xd = x.shape[:-1], x.data
     rows = (math.prod(lead), c_in)
+    late = rows[0] * (c_out + c_in) < c_out * c_in
     h = _gelu_forward(xd, dropout) if gelu else xd
 
     def backward(g):
@@ -403,7 +428,10 @@ def linear(
         elif gelu:
             rebuilt = np.empty_like(xd) if w.requires_grad else None
             _gelu_backward(xd, dx, dx, dropout, rebuilt)  # dh becomes dx in place
-        return dx, (g2.T @ rebuilt.reshape(rows) if w.requires_grad else None)
+        if not w.requires_grad:
+            return dx, None
+        h2 = rebuilt.reshape(rows)
+        return dx, (lambda: g2.T @ h2) if late else g2.T @ h2
 
     return _result((h.reshape(rows) @ w.data.T).reshape(lead + (c_out,)), (x, w), backward)
 

@@ -181,6 +181,55 @@ def test_linear_refuses_a_dropout_mask_it_cannot_apply():
         T.linear(x, w, dropout=(keep, 0.1))
 
 
+@st.composite
+def _shared_weight_cases(draw):
+    """One weight [c_out, c_in] read by 1-3 linear calls of distinct row counts, so that some
+    take dw late (rows * (c_out + c_in) < c_out * c_in) and some at once; per call a prologue
+    (none, GELU, GELU and dropout) and whether x needs a gradient; w a leaf or add(w0, w1)."""
+    c_out, c_in = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    call = st.tuples(st.integers(1, 8), st.sampled_from(["none", "gelu", "dropout"]), st.booleans())
+    calls = draw(st.lists(call, min_size=1, max_size=3, unique_by=lambda c: c[0]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return c_out, c_in, calls, draw(st.booleans()), dtype, draw(st.integers(0, 2**16))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_shared_weight_cases())
+@example(case=(6, 6, [(1, "dropout", False), (8, "none", True), (2, "gelu", True)], True, np.float64, 1))
+@example(case=(6, 6, [(8, "gelu", True), (1, "none", False), (3, "dropout", True)], False, np.float32, 2))
+def test_late_weight_gradients_fold_in_replay_order(case):
+    """Whether each call's dw is taken at once or late, and whether w is a leaf (its late dw
+    folded after the walk) or an op's output (its late dw run during the walk), every
+    weight's .grad is bit-equal to the calls' g.T @ h summed in replay order, last call first."""
+    c_out, c_in, calls, w_leaf, dtype, seed = case
+    rng = _rng(seed)
+    parts = [Tensor(rng.normal(size=(c_out, c_in)).astype(dtype), requires_grad=True)]
+    if not w_leaf:
+        parts.append(Tensor(rng.normal(size=(c_out, c_in)).astype(dtype), requires_grad=True))
+    xs, products = [], []
+    with Tape() as tape:
+        w = parts[0] if w_leaf else T.add(*parts)
+        loss = None
+        for rows, prologue, needs in calls:
+            xd = rng.normal(size=(rows, c_in)).astype(dtype)
+            gd = rng.normal(size=(rows, c_out)).astype(dtype)
+            dropout = (rng.random(xd.shape) >= 0.25, 0.25) if prologue == "dropout" else None
+            xs.append(Tensor(xd, requires_grad=needs))
+            out = T.linear(xs[-1], w, gelu=prologue != "none", dropout=dropout)
+            term = T.reduce_sum(T.mul(out, Tensor(gd)))  # hands the call exactly gd
+            loss = term if loss is None else T.add(loss, term)
+            h = xd if prologue == "none" else T._gelu_forward(xd, dropout)
+            products.append(gd.T @ h)
+    tape.backward(loss)
+    want = products.pop()
+    while products:
+        want = want + products.pop()
+    for t in parts:
+        npt.assert_array_equal(t.grad, want)  # bit-exact
+    _assert_owned_grads(parts + [x for x in xs if x.requires_grad], dtype)
+    assert all(x.grad is None for x in xs if not x.requires_grad)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(case=_last_axis_cases())
 def test_layer_norm_property(case):
