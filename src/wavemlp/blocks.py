@@ -3,9 +3,11 @@
 A block normalizes its input once, feeds that through three parallel
 branches (phase-aware mixing along height, along width, and a direct
 channel-FC), sums them onto the residual, then applies a pre-norm two-layer
-channel MLP with GELU, whose second FC applies GELU and dropout as its
-prologue. A stem is the taped ``patchify``, which cuts non-overlapping
-patches and zero-pads ragged edges, then one channel-FC.
+channel MLP with GELU. Its hidden activation exists once: under a tape the
+second FC applies GELU and dropout as its prologue, and without one they are
+applied in the pre-activation's buffer. A stem is the taped ``patchify``,
+which cuts non-overlapping patches and zero-pads ragged edges, then one
+channel-FC.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_forward
-from .tensor import Tensor, add, layer_norm, patchify
+from .tensor import Tensor, _gelu_forward, _taped, add, layer_norm, patchify
 
 __all__ = [
     "NORM_EPS",
@@ -88,18 +90,27 @@ def channel_mlp_forward(
 ) -> Tensor:
     """Residual two-layer per-token MLP with GELU.
 
-    The second FC takes the pre-activation with ``linear``'s GELU prologue, so the
-    [tokens, e*d] hidden activation is never kept: the tape keeps the pre-activation
-    once, and a boolean keep-mask with dropout on. Dropout (inverted, on the hidden
-    activations) is applied only when a probability and an rng are both supplied;
-    the correctness path never is.
+    The [tokens, e*d] hidden activation exists once, in one of two ways. When a tape
+    records the second FC, that FC takes the pre-activation with ``linear``'s GELU
+    prologue: the tape keeps the pre-activation, and a boolean keep-mask with dropout
+    on, and backward rebuilds the activation. Otherwise nothing reads the
+    pre-activation again, so GELU and the mask are applied in its own buffer and the
+    FC takes it as is; both ways give the same bits. The normalized input and the
+    pre-activation are dropped before the residual add. Dropout (inverted, on the
+    hidden activations) is applied only when a probability and an rng are both
+    supplied; the correctness path never is.
     """
-    n = normalize(x, b.norm2.scale, b.norm2.shift)
-    pre = channel_fc(n, b.mlp_fc1)
+    pre = channel_fc(normalize(x, b.norm2.scale, b.norm2.shift), b.mlp_fc1)
     mask = None
     if dropout > 0.0 and rng is not None:
         mask = (rng.random(pre.shape) >= dropout, dropout)
-    return add(x, channel_fc(pre, b.mlp_fc2, gelu=True, dropout=mask))
+    if _taped(pre, b.mlp_fc2):
+        y = channel_fc(pre, b.mlp_fc2, gelu=True, dropout=mask)
+    else:
+        _gelu_forward(pre.data, mask, out=pre.data)
+        y = channel_fc(pre, b.mlp_fc2)
+    del pre, mask
+    return add(x, y)
 
 
 def block_forward(

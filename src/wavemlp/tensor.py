@@ -18,8 +18,10 @@ dtypes, so a graph has one and nothing is promoted. Broadcasting follows
 numpy's trailing-dimension alignment.
 
 ``linear`` may apply GELU, then a dropout mask, to x before the product (its
-prologue): the channel MLP's second FC keeps only the pre-activation and a
-boolean keep-mask, and rebuilds the hidden activation in backward.
+prologue): under a tape, the channel MLP's second FC keeps only the
+pre-activation and a boolean keep-mask, and rebuilds the hidden activation in
+backward. Without one, the MLP runs ``_gelu_forward`` in the pre-activation's
+own buffer instead.
 
 ``gelu`` (alone or as that prologue), ``window_mix`` and ``wave_mix`` work in
 slabs of at most ``_SLAB`` elements, cut only along axes the op treats
@@ -119,12 +121,15 @@ class Tape:
             loss = f(x)
         tape.backward(loss)     # fills x.grad
 
-    A record holds no Tensor: input uids (None where no gradient is needed),
-    the output uid and the backward closure. The tape keeps the leaves, inputs
-    that need a gradient and that no record produced, in first-taped order; it
-    sets a leaf's ``.grad`` to None when it first records it, so a ``.grad``
-    lasts until a new tape records its leaf (``model.forward`` drops every
-    parameter's at once before it runs). ``backward`` seeds the scalar
+    A record is a tuple of input uids (None where no gradient is needed), the
+    output uid and the backward closure. The tuple holds no Tensor, but a
+    closure may: ``linear``'s reaches its x and w, and ``layer_norm``'s its
+    scale and shift, to read their flags, shapes and data in backward. The
+    tape keeps the leaves, inputs that need a gradient and that no record
+    produced, in first-taped order; it sets a leaf's ``.grad`` to None when
+    it first records it, so a ``.grad`` lasts until a new tape records its
+    leaf (``model.forward`` drops every parameter's at once before it
+    runs). ``backward`` seeds the scalar
     loss with gradient 1, pops the records in reverse, freeing each and the
     gradients it consumed before the next runs, accumulates gradients keyed
     by uid, and assigns ``.grad`` exactly once on every leaf, the loss
@@ -325,13 +330,24 @@ def _dropout_mask(keep: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_forward(x: np.ndarray, dropout: tuple[np.ndarray, float] | None = None) -> np.ndarray:
-    """gelu(x), times the mask of ``dropout`` = (keep, p) when given, slab by slab."""
-    y = np.empty_like(x)
+def _gelu_forward(
+    x: np.ndarray, dropout: tuple[np.ndarray, float] | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """gelu(x), times inverted dropout's mask when ``dropout`` = (keep, p) gives a boolean
+    keep-mask of x's shape and a probability in [0, 1), slab by slab into ``out`` (a new array
+    by default). ``out=x`` works in place: each slab's tanh is taken before 0.5*x overwrites x."""
+    if dropout is not None:
+        keep, p = dropout
+        if not 0.0 <= p < 1.0:
+            raise ContractError(f"dropout needs p in [0, 1), got {p!r}")
+        if not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_ and keep.shape == x.shape):
+            raise DimensionError(f"dropout needs a boolean keep-mask of shape {tuple(x.shape)}")
+    y = np.empty_like(x) if out is None else out
     for s, t in _slabs(x.shape, (), x.dtype, 1):
         xs = x[s]
+        np.add(_gelu_tanh(xs, t), 1.0, out=t)
         ys = np.multiply(xs, 0.5, out=y[s])
-        ys *= np.add(_gelu_tanh(xs, t), 1.0, out=t)
+        ys *= t
         if dropout is not None:
             ys *= _dropout_mask(dropout[0][s], dropout[1], t)
     return y
@@ -394,8 +410,8 @@ def linear(
     """y = h @ w.T over the last axis, taped as one op; x is [..., c_in], w [c_out, c_in].
 
     h is x, or with the GELU prologue (``gelu=True``) gelu(x), times inverted dropout's
-    mask keep / (1 - p) when ``dropout`` = (keep, p) gives a boolean keep-mask of x's
-    shape and a probability in [0, 1). The record keeps x and keep, never h. Gradients:
+    mask keep / (1 - p) when ``dropout`` = (keep, p) is given (``_gelu_forward`` checks
+    it). The record keeps x and keep, never h. Gradients:
     dh = g @ w and dw = g.T @ h (C-ordered, like w), x, g and h flattened to 2-D; with
     the prologue, backward rebuilds h slab by slab from the same tanh pass that takes dh
     through the mask and GELU's derivative to dx, so it runs no more tanh than ``gelu``.
@@ -407,12 +423,8 @@ def linear(
         raise DimensionError(
             f"linear: weight {tuple(w.shape)} does not map the last axis of {tuple(x.shape)}"
         )
-    if dropout is not None:
-        keep, p = dropout
-        if not gelu or not 0.0 <= p < 1.0:
-            raise ContractError(f"linear: dropout needs the GELU prologue and p in [0, 1), got {p!r}")
-        if not (isinstance(keep, np.ndarray) and keep.dtype == np.bool_ and keep.shape == x.shape):
-            raise DimensionError(f"linear: dropout needs a boolean keep-mask of shape {tuple(x.shape)}")
+    if dropout is not None and not gelu:
+        raise ContractError("linear: dropout needs the GELU prologue")
     c_out, c_in = w.shape
     lead, xd = x.shape[:-1], x.data
     rows = (math.prod(lead), c_in)

@@ -1,5 +1,6 @@
 """Composite layers: residual blocks, channel MLP, normalization, stems."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from wavemlp.blocks import (
     patch_embed,
     token_mixing_forward,
 )
-from wavemlp.errors import ConfigurationError, DimensionError
+from wavemlp.errors import ConfigurationError, ContractError, DimensionError
 from wavemlp.model import iter_params
 from wavemlp.patm import PhaseMode, channel_fc, init_patm
 from wavemlp.tensor import Tape, Tensor, add, gelu, grad_check, mul, reduce_mean, reduce_sum
@@ -146,6 +147,18 @@ def test_channel_mlp_with_dropout_is_bit_equal_to_the_three_op_chain(dtype):
         tape.backward(loss)
         runs.append([a.tobytes() for a in [out.data] + [t.grad for t in leaves]])
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_channel_mlp_refuses_dropout_of_one_or_more_on_both_paths(p, taped):
+    """In place (untaped) or through linear's prologue (taped), one check refuses the mask."""
+    b = init_block(4, 2, 3, PhaseMode.NONE, _rng(19))
+    x = Tensor(_rng(20).normal(size=(1, 2, 3, 4)))
+    with Tape() if taped else contextlib.nullcontext() as tape:
+        with pytest.raises(ContractError, match=r"dropout needs p in \[0, 1\)"):
+            channel_mlp_forward(x, b, p, _rng(21))
+    assert not taped or len(tape) == 2  # the norm and the first FC; the second made no record
 
 
 def _held_by_a_taped_mlp(b, x, dropout):

@@ -147,6 +147,40 @@ def test_forward_identical_inputs_identical_logits():
     npt.assert_array_equal(logits[0], logits[1])
 
 
+def _untaped_and_taped_logits(m, images, seed):
+    """Logits of an untaped and of a taped forward, each drawing dropout from a fresh
+    generator of ``seed``."""
+    plain = forward(m, images, rng=_rng(seed))
+    with Tape():
+        taped = forward(m, images, rng=_rng(seed))
+    assert taped.requires_grad
+    return plain.data, taped.data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [1, 3, 7, "all"])
+@pytest.mark.parametrize("mode", list(PhaseMode))
+def test_untaped_and_taped_tiny_forwards_give_the_same_bits(mode, window, dtype):
+    """The channel MLP applies GELU and dropout in the pre-activation's buffer when no tape
+    records its second FC, and through linear's prologue when one does: the same logits."""
+    cfg = preset("tiny", phase_mode=mode, window=window, input_size=(16, 16), dropout=0.1)
+    m = build(cfg, seed=0, dtype=dtype)
+    images = _rng(3).normal(size=(4, 16, 16, 3))
+    plain, taped = _untaped_and_taped_logits(m, images, seed=4)
+    assert plain.dtype == taped.dtype == dtype
+    assert np.array_equal(plain, taped)
+    assert not np.array_equal(plain, forward(m, images).data)  # the mask was drawn and applied
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_untaped_and_taped_T_forwards_at_64_give_the_same_bits(dropout, dtype):
+    m = build(preset("T", dropout=dropout), seed=0, dtype=dtype)
+    plain, taped = _untaped_and_taped_logits(m, _rng(1).normal(size=(1, 64, 64, 3)), seed=2)
+    assert plain.dtype == taped.dtype == dtype
+    assert np.array_equal(plain, taped)
+
+
 def test_forward_batch_permutation_permutes_rows():
     m = build(preset("tiny"), seed=0)
     batch = _rng(3).normal(size=(4, 16, 16, 3))
@@ -467,9 +501,9 @@ def test_a_taped_T_backward_at_64_peaks_at_most_1_mib_above_its_gradients(two_ta
     assert peak - grads <= 2**20, (peak - grads) / 2**20
 
 
-def test_an_untaped_T_forward_at_224_peaks_at_most_20_mib():
-    """The elementwise and windowed ops work in slabs, so an untaped forward (tracemalloc, f64,
-    B=1) allocates little beyond each op's output; 17.3 MiB when this was set."""
+@pytest.fixture(scope="module")
+def untaped_T_forward_at_224_peak():
+    """The peak bytes of an untaped T forward at 224 (tracemalloc, f64, B=1)."""
     m = build(preset("T"), seed=0)
     images = _rng(1).normal(size=(1, 224, 224, 3))
     tracemalloc.start()
@@ -479,7 +513,23 @@ def test_an_untaped_T_forward_at_224_peaks_at_most_20_mib():
     finally:
         tracemalloc.stop()
     assert logits.shape == (1, 1000)
+    return peak
+
+
+def test_an_untaped_T_forward_at_224_peaks_at_most_20_mib(untaped_T_forward_at_224_peak):
+    """The elementwise and windowed ops work in slabs, so an untaped forward (tracemalloc, f64,
+    B=1) allocates little beyond each op's output; 17.3 MiB when this was set."""
+    peak = untaped_T_forward_at_224_peak
     assert peak <= 20 * 2**20, peak / 2**20
+
+
+def test_an_untaped_T_forward_at_224_peaks_at_most_11_5_mib(untaped_T_forward_at_224_peak):
+    """Untaped, the channel MLP computes GELU in the pre-activation's buffer and drops its
+    normalized input and the pre-activation before the residual add, so stage 0's [3136, 256]
+    hidden layer exists once: 10.74 MiB when this was set, 18.39 MiB when GELU's output was a
+    second array beside the pre-activation."""
+    peak = untaped_T_forward_at_224_peak
+    assert peak <= 11.5 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("mode", list(PhaseMode))

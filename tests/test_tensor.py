@@ -157,6 +157,11 @@ def test_linear_gelu_prologue_is_bit_equal_to_the_gelu_mul_linear_chain(case):
     assert [_bits(a) for a in got[:3]] == [_bits(a) for a in want[:3]]
     assert got[3] == 1 and not got[4]
     assert (got[1] is None) != needs[0] and (got[2] is None) != needs[1]
+    dropout = None if keep is None else (keep, 0.25)
+    inplace = xd.copy()  # out=x, as the untaped channel MLP computes its hidden layer
+    with mock.patch.object(T, "_SLAB", slab):
+        assert T._gelu_forward(inplace, dropout, out=inplace) is inplace
+        assert _bits(inplace) == _bits(T._gelu_forward(xd, dropout))
 
 
 def test_linear_gelu_prologue_gradients_with_dropout():
