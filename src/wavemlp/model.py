@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -98,8 +99,7 @@ class ArchConfig:
             self.input_size = _ints("input_size", self.input_size, 1, 2)
         if self.window != "all" and _ints("window", self.window, 1) % 2 == 0:
             raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
-        real = isinstance(self.dropout, (int, float)) and not isinstance(self.dropout, bool)
-        if not (real and 0.0 <= self.dropout < 1.0):
+        if not (_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout!r}")
         needs_size = self.window == "all" or self.phase_mode is PhaseMode.STATIC
         if needs_size and self.input_size is None:
@@ -118,6 +118,11 @@ def _ints(name: str, value, lo: int, n: int = 0):
     if any(v < lo for v in values):
         raise ConfigurationError(f"{name} must be >= {lo}, got {value!r}")
     return tuple(values) if n else value
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one, as in ``_ints``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _stage_spec(s) -> StageSpec:

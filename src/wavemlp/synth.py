@@ -34,7 +34,7 @@ class SynthTask:
     val_size: int = 128
 
     def __post_init__(self):
-        if self.name not in GENERATORS:
+        if not (isinstance(self.name, str) and self.name in GENERATORS):
             raise ConfigurationError(f"unknown task {self.name!r}; choose from {sorted(GENERATORS)}")
         h, w, c = self.grid = _ints("grid", self.grid, 1, 3)
         if h % CELL or w % CELL or h < 2 * CELL or w < 2 * CELL:

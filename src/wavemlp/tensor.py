@@ -1,12 +1,13 @@
 """Dense real tensors on numpy plus a reverse-mode differentiation tape.
 
 Forward ops compute with numpy and return through ``_result``, the one place
-that decides what an op hands on: its output needs gradients iff an input
-does, and while a ``Tape`` is active such an output appends one record
-``(input uids, output uid, backward)``, whose closure keeps only what backward
-reads. Replaying the records in reverse creation order is backpropagation:
-creation order is a topological order, so every consumer of a value is visited
-before its producer. A tape replays once and frees each record as it replays it.
+that decides what an op hands on: its output needs gradients iff an input does,
+and while a ``Tape`` is active such an output appends one record ``(input uids,
+output uid, backward)``, whose closure binds the arrays and flags backward reads
+as the op runs: a record holds arrays, never a Tensor. Replaying the records in
+reverse creation order is backpropagation, since creation order is topological.
+A tape replays once, freeing each record as it goes, then folds, copies if need
+be and assigns each leaf's gradient in one pass.
 
 Ops take ``Tensor`` arguments only, bar settings such as an eps, labels or a
 keep-mask; nothing is coerced. ``linear`` (h @ w.T over the last axis) is the
@@ -122,24 +123,22 @@ class Tape:
         tape.backward(loss)     # fills x.grad
 
     A record is a tuple of input uids (None where no gradient is needed), the
-    output uid and the backward closure. The tuple holds no Tensor, but a
-    closure may: ``linear``'s reaches its x and w, and ``layer_norm``'s its
-    scale and shift, to read their flags, shapes and data in backward. The
+    output uid and the backward closure, and it holds arrays, never a Tensor:
+    an op binds the arrays and ``requires_grad`` flags its backward reads
+    when it runs, so what a record computes is fixed when it is taped. The
     tape keeps the leaves, inputs that need a gradient and that no record
     produced, in first-taped order; it sets a leaf's ``.grad`` to None when
     it first records it, so a ``.grad`` lasts until a new tape records its
     leaf (``model.forward`` drops every parameter's at once before it
-    runs). ``backward`` seeds the scalar
-    loss with gradient 1, pops the records in reverse, freeing each and the
-    gradients it consumed before the next runs, accumulates gradients keyed
-    by uid, and assigns ``.grad`` exactly once on every leaf, the loss
-    included when it is one. A backward closure may return an input's
-    gradient as a zero-argument callable (``linear``'s dw for few tokens):
-    the walk calls it at once unless that input is a leaf. A leaf's
-    callables, and every contribution to it after its first callable, wait
-    until the walk has freed the records; then each leaf's contributions
-    are folded in replay order, before any ``.grad`` is assigned, so every
-    sum is the one an eager walk would take and results are bit-identical.
+    runs). ``backward`` seeds the scalar loss with gradient 1 and pops the
+    records in reverse, freeing each and the gradients it consumed before
+    the next runs; an op output's gradients are summed as they arrive. A
+    backward closure may return an input's gradient as a zero-argument
+    callable (``linear``'s dw for few tokens), run when it is folded. A leaf
+    keeps its contributions in replay order until the walk ends; then one
+    pass folds each leaf's in that order, copies the sum if it is read-only
+    or another leaf's, and assigns ``.grad`` once on every leaf, the loss
+    included when it is one, so every sum is the one an eager walk takes.
     Leaves that do not influence the loss receive a zero gradient. Each
     ``.grad`` is a writeable array of the leaf's dtype, sharing no memory
     with another leaf's, so it may be modified in place. A tape is
@@ -188,13 +187,8 @@ class Tape:
         if loss.requires_grad and loss.uid not in self._produced:
             self._leaves.setdefault(loss.uid, loss)
         leaves, self._leaves, self._produced, self._spent = self._leaves, {}, set(), True
-        grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
-        late: dict[int, list] = {}  # a leaf's contributions from its first callable on
-
-        def fold(uid, gin):
-            gin = gin() if callable(gin) else gin
-            grads[uid] = grads[uid] + gin if uid in grads else gin
-
+        grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}  # summed as they arrive
+        parts: dict[int, list] = {}  # a leaf's, kept in replay order
         while self._records:  # unpacking the next record frees the last one's closure
             uids, out, backfn = self._records.pop()
             if out not in grads:
@@ -202,20 +196,20 @@ class Tape:
             for uid, gin in zip(uids, backfn(grads.pop(out))):
                 if gin is None or uid is None:
                     continue
-                if uid in late or (callable(gin) and uid in leaves):
-                    late.setdefault(uid, []).append(gin)
+                if uid in leaves:
+                    parts.setdefault(uid, []).append(gin)
                 else:
-                    fold(uid, gin)
+                    gin = gin() if callable(gin) else gin
+                    grads[uid] = grads[uid] + gin if uid in grads else gin
             gin = None  # nor hold an input's gradient while the next record runs
-        for uid in list(late):  # popped, so each leaf's callables die once they have run
-            for gin in late.pop(uid):  # in replay order: every sum is the one the walk would take
-                fold(uid, gin)
-        # Only leaves (never an op output) remain keyed; assign once each, copying
-        # a gradient that is read-only (a broadcast view or a 0-d input's numpy
-        # scalar) or already another leaf's, so that each .grad is writeable and owned.
+        # One pass per leaf: fold in replay order, copy a sum that is read-only (a broadcast
+        # view or a 0-d input's numpy scalar) or another leaf's, so each .grad is owned; assign.
         owners: set[int] = set()  # ids of the buffers already handed to a leaf
         for t in leaves.values():
-            g = grads.pop(t.uid, None)
+            g = grads.pop(t.uid, None)  # the loss's seed, when the loss is a leaf
+            for gin in parts.pop(t.uid, ()):  # popped, so a leaf's callables die once it is assigned
+                gin = gin() if callable(gin) else gin
+                g = gin if g is None else g + gin
             if g is None:
                 g = np.zeros_like(t.data)
             elif not g.flags.writeable or id(g if g.base is None else g.base) in owners:
@@ -417,7 +411,7 @@ def linear(
     through the mask and GELU's derivative to dx, so it runs no more tanh than ``gelu``.
     When dw is larger than the g and h it is computed from, rows * (c_out + c_in) <
     c_out * c_in (few tokens, wide channels), backward returns it as a zero-argument
-    callable over g and h, which ``Tape.backward`` runs late (see ``Tape``).
+    callable over g and h, which ``Tape.backward`` runs when it folds it (see ``Tape``).
     """
     if w.ndim != 2 or x.ndim == 0 or w.shape[1] != x.shape[-1]:
         raise DimensionError(
@@ -426,26 +420,26 @@ def linear(
     if dropout is not None and not gelu:
         raise ContractError("linear: dropout needs the GELU prologue")
     c_out, c_in = w.shape
-    lead, xd = x.shape[:-1], x.data
-    rows = (math.prod(lead), c_in)
+    xd, wd, need_x, need_w = x.data, w.data, x.requires_grad, w.requires_grad
+    rows = (math.prod(xd.shape[:-1]), c_in)
     late = rows[0] * (c_out + c_in) < c_out * c_in
     h = _gelu_forward(xd, dropout) if gelu else xd
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        dx = (g2 @ w.data).reshape(x.shape) if x.requires_grad else None
+        dx = (g2 @ wd).reshape(xd.shape) if need_x else None
         rebuilt = xd
         if gelu and dx is None:
             rebuilt = _gelu_forward(xd, dropout)  # only dw reads it
         elif gelu:
-            rebuilt = np.empty_like(xd) if w.requires_grad else None
+            rebuilt = np.empty_like(xd) if need_w else None
             _gelu_backward(xd, dx, dx, dropout, rebuilt)  # dh becomes dx in place
-        if not w.requires_grad:
+        if not need_w:
             return dx, None
         h2 = rebuilt.reshape(rows)
         return dx, (lambda: g2.T @ h2) if late else g2.T @ h2
 
-    return _result((h.reshape(rows) @ w.data.T).reshape(lead + (c_out,)), (x, w), backward)
+    return _result((h.reshape(rows) @ wd.T).reshape(xd.shape[:-1] + (c_out,)), (x, w), backward)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
@@ -466,16 +460,17 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     unit = x.data - x.data.mean(axis=-1, keepdims=True)
     root = np.sqrt((unit * unit).mean(axis=-1, keepdims=True) + eps)
     unit /= root
+    sd = scale.data
 
     def backward(g):
-        gu = g * scale.data
+        gu = g * sd
         mean_gu = gu.mean(axis=-1, keepdims=True)
         mean_guu = (gu * unit).mean(axis=-1, keepdims=True)
         dx = (gu - mean_gu - unit * mean_guu) / root
-        return dx, _unbroadcast(g * unit, scale.shape), _unbroadcast(g, shift.shape)
+        return dx, _unbroadcast(g * unit, sd.shape), _unbroadcast(g, sd.shape)
 
     y = np.empty_like(unit)
-    np.add(np.multiply(unit, scale.data, out=y), shift.data, out=y)
+    np.add(np.multiply(unit, sd, out=y), shift.data, out=y)
     return _result(y, (x, scale, shift), backward)
 
 
@@ -571,10 +566,10 @@ def window_mix(x: Tensor, w: Tensor, axis: int) -> Tensor:
     window//2], dw[r] = sum of g * x shifted by r over all but the channels.
     """
     whole, forward, adjoint = _window_sum(x.shape, w.data, axis, "window_mix")
-    acc = np.empty_like(x.data)
-    for s, tmp in _slabs(x.shape, whole, acc.dtype, 1):
-        forward(acc[s], x.data[s], tmp)
-    return _result(acc, (x, w), lambda g: adjoint(g, x.data))
+    xd, acc = x.data, np.empty_like(x.data)
+    for s, tmp in _slabs(xd.shape, whole, acc.dtype, 1):
+        forward(acc[s], xd[s], tmp)
+    return _result(acc, (x, w), lambda g: adjoint(g, xd))
 
 
 def wave_mix(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: int) -> Tensor:

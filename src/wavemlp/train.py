@@ -8,7 +8,6 @@ generators, so repeating a run reproduces the loss history bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -16,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError, NumericError
-from .model import ArchConfig, ModelParams, _ints, build, count_flops, count_params, forward, iter_params
+from .model import ArchConfig, ModelParams, build, count_flops, count_params, forward, iter_params
+from .model import _ints, _real
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
 from .tensor import Tape, softmax_cross_entropy
@@ -56,17 +56,17 @@ class TrainConfig:
         _ints("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
         # lr == 0 is allowed: it is the standard no-op training diagnostic.
         for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_real(value) and math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0")
         pair = isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
-        if not (pair and all(isinstance(x, numbers.Real) and 0 <= x < 1 for x in self.betas)):
+        if not (pair and all(_real(x) and 0 <= x < 1 for x in self.betas)):
             raise ConfigurationError(f"betas must be a pair of numbers in [0, 1), got {self.betas!r}")
         self.betas = tuple(self.betas)
-        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < math.inf):
+        if not (_real(self.eps) and 0 < self.eps < math.inf):
             raise ConfigurationError(f"eps must be finite and > 0, got {self.eps!r}")
-        if self.schedule != "cosine":
+        if not (isinstance(self.schedule, str) and self.schedule == "cosine"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-        if self.precision not in _DTYPES:
+        if not (isinstance(self.precision, str) and self.precision in _DTYPES):
             raise ConfigurationError(f"precision must be one of {sorted(_DTYPES)}")
 
 

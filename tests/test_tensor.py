@@ -1,8 +1,10 @@
 """Tensor core: op semantics, tape correctness, and the grad-check harness."""
 
+import contextlib
 import gc
 import math
 import tracemalloc
+import types
 import weakref
 from unittest import mock
 
@@ -1141,6 +1143,97 @@ def test_op_output_needs_grad_iff_an_input_does_and_is_taped_iff_a_tape_is_activ
         assert tape._records[0][1] == out.uid
     out, _ = run([True] * len(shapes), taped=False)
     assert out.requires_grad and not records
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, itself first, each once: through a function's
+    closure cells and defaults, and the items of tuples, lists and dicts (keys too). Other
+    objects, arrays and Tensors among them, are yielded but not entered."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                with contextlib.suppress(ValueError):  # an empty cell holds nothing
+                    stack.append(cell.cell_contents)
+            stack += [*(obj.__defaults__ or ()), *(obj.__kwdefaults__ or {}).values()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += [*obj, *obj.values()]
+
+
+_DTYPES = [np.float32, np.float64]
+_KEEP = np.array([[True, False, True], [True, True, False]])
+_RECORDED_OPS = {  # every taped op: _OPS, plus linear with each prologue
+    **_OPS,
+    "linear-gelu": (lambda x, w: T.linear(x, w, gelu=True), _OPS["linear"][1]),
+    "linear-gelu-dropout": (lambda x, w: T.linear(x, w, True, (_KEEP, 0.25)), _OPS["linear"][1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDED_OPS))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(needs=st.lists(st.booleans(), min_size=4, max_size=4), dtype=st.sampled_from(_DTYPES))
+def test_no_record_reaches_a_tensor(name, needs, dtype):
+    """A record holds arrays, never a Tensor: walking it, its closure included, finds none,
+    whichever inputs need a gradient, so what it computes is fixed when it is taped."""
+    op, shapes = _RECORDED_OPS[name]
+    needs = needs[: len(shapes)]
+    arrays = [_rng(i).normal(size=s).astype(dtype) for i, s in enumerate(shapes)]
+    inputs = [Tensor(a, g) for a, g in zip(arrays, needs)]
+    with Tape() as tape:
+        op(*inputs)
+    assert len(tape) == any(needs)
+    for record in tape._records:
+        assert not [o for o in _reachable(record) if isinstance(o, Tensor)], name
+
+
+def test_reachable_walks_cells_defaults_and_containers():
+    t, a = Tensor(np.ones(2)), np.ones(2)
+
+    def outer(d=[{"k": (t,)}]):
+        return lambda: (d, a)
+
+    found = list(_reachable(outer()))
+    assert any(o is t for o in found) and any(o is a for o in found)
+    assert not any(o is t for o in _reachable(lambda: a))
+
+
+@pytest.mark.parametrize("change", ["flags", "data"])
+def test_changing_a_leaf_after_taping_changes_no_gradient(change):
+    """linear (with and without its prologue, its dw at once and late), layer_norm and
+    window_mix bind what their backward reads as they run: setting the requires_grad of
+    every leaf and op input to False, or rebinding its .data, after taping leaves every
+    .grad as an untouched tape's."""
+    rng = _rng(29)
+    arrays = [rng.normal(size=s) for s in ((1, 3, 8), (8, 8), (8,), (8,), (6, 8), (3, 6), (4, 8))]
+    keep, upstream = rng.random((1, 3, 8)) >= 0.25, Tensor(rng.normal(size=(1, 3, 6)))
+
+    def grads(touch):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        x, w1, scale, shift, w2, wm, w3 = leaves
+        with Tape() as tape:
+            h = T.layer_norm(T.linear(x, w1), scale, shift, 1e-5)  # 3 rows: w1's dw is late
+            mixed = T.linear(h, w2, True, (keep, 0.25))
+            y = T.window_mix(mixed, wm, 1)
+            loss = T.add(T.reduce_sum(T.mul(y, upstream)), T.reduce_mean(T.linear(h, w3)))
+        if touch:
+            for t in leaves + [h, mixed]:
+                if change == "flags":
+                    t.requires_grad = False
+                else:
+                    t.data = np.zeros_like(t.data)
+        tape.backward(loss)
+        return [t.grad for t in leaves]
+
+    for got, want in zip(grads(True), grads(False)):
+        npt.assert_array_equal(got, want)
+        assert np.any(want != 0)
 
 
 _MIXABLE = ["add", "mul", "linear", "layer_norm", "window_mix", "wave_mix"]  # the multi-input ops

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavemlp.errors import ConfigurationError, ContractError, DimensionError, NumericError
-from wavemlp.model import build, forward, iter_params, preset
+from wavemlp.model import ArchConfig, build, forward, iter_params, preset
 from wavemlp.selftest import load_pilot, pilot_task_config
 from wavemlp.synth import SynthTask, make_dataset
 from wavemlp.train import (
@@ -283,6 +283,34 @@ def test_training_config_validation():
 def test_training_config_rejects_bad_betas_and_eps(changes):
     with pytest.raises(ConfigurationError, match=next(iter(changes))):
         TrainConfig(**changes)
+
+
+@pytest.mark.parametrize(
+    "cls, changes, match",
+    [
+        (TrainConfig, {"lr": "a"}, "lr"),
+        (TrainConfig, {"lr": None}, "lr"),
+        (TrainConfig, {"lr": True}, "lr"),
+        (TrainConfig, {"weight_decay": "1"}, "weight_decay"),
+        (TrainConfig, {"eps": True}, "eps"),
+        (TrainConfig, {"betas": (False, 0.5)}, "betas"),
+        (TrainConfig, {"precision": ["f64"]}, "precision"),
+        (TrainConfig, {"schedule": ["cosine"]}, "schedule"),
+        (SynthTask, {"name": ["x"]}, "task"),
+    ],
+    ids=["lr-str", "lr-none", "lr-bool", "wd-str", "eps-bool", "beta-bool", "precision-list",
+         "schedule-list", "task-name-list"],
+)
+def test_configs_refuse_wrong_typed_settings(cls, changes, match):
+    """A setting of the wrong type, a bool for a real number among them, is a
+    ConfigurationError, as an out-of-range one is; never a bare TypeError."""
+    with pytest.raises(ConfigurationError, match=match):
+        cls(**changes)
+
+
+def test_configs_take_numpy_real_numbers():
+    assert TrainConfig(lr=np.float32(0.5), eps=1, betas=(0, np.float64(0.5))).lr == np.float32(0.5)
+    assert ArchConfig(preset("tiny").stages, dropout=np.float32(0.25)).dropout == 0.25
 
 
 def test_training_config_loads_the_pilot_betas_list():
