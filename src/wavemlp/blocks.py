@@ -21,7 +21,6 @@ from .patm import PatmParams, PhaseMode, _uniform, channel_fc, init_patm, patm_f
 from .tensor import Tensor, _gelu_forward, _taped, add, layer_norm, patchify
 
 __all__ = [
-    "NORM_EPS",
     "NormParams",
     "BlockParams",
     "StemParams",
@@ -33,8 +32,6 @@ __all__ = [
     "init_block",
     "init_stem",
 ]
-
-NORM_EPS = 1e-5
 
 
 @dataclass
@@ -70,9 +67,9 @@ class StemParams:
     weight: Tensor  # [c_out, patch*patch*c_in]
 
 
-def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float = NORM_EPS) -> Tensor:
+def normalize(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Standardize each token over its channels, then scale and shift; layer_norm checks shapes."""
-    return layer_norm(x, scale, shift, eps)
+    return layer_norm(x, scale, shift)
 
 
 def token_mixing_forward(x: Tensor, b: BlockParams) -> Tensor:

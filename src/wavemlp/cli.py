@@ -23,7 +23,7 @@ import tempfile
 
 from . import model as M
 from . import wave
-from .errors import ConfigurationError, OutputError, WaveMlpError
+from .errors import OutputError, WaveMlpError, _number
 from .selftest import check_config_model, check_gradients, pilot_task_config, run_selftest
 from .synth import GENERATORS, SynthTask, make_dataset
 from .train import ABLATION_AXES, TrainConfig, ablate, train
@@ -237,8 +237,7 @@ def _cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed < 0:  # every subcommand has --seed; numpy seeds are >= 0
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+        _number("--seed", args.seed, 0)  # every subcommand has --seed; numpy seeds are >= 0
         if hasattr(args, "out"):  # before any training, not after it
             _write(os.makedirs, args.out, exist_ok=True)
             _write(tempfile.TemporaryFile, dir=args.out).close()

@@ -11,9 +11,7 @@ closed forms of the ``ArchConfig``: counting builds no model.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .blocks import (
     normalize,
     patch_embed,
 )
-from .errors import ConfigurationError, ContractError, DimensionError, NumericError
+from .errors import ConfigurationError, ContractError, DimensionError, NumericError, _number
 from .patm import DEPTHWISE_KERNEL, PhaseMode, _uniform, channel_fc
 from .tensor import _TAPE_STACK, Tensor, add, reduce_mean
 
@@ -92,37 +90,19 @@ class ArchConfig:
         dims = [s.dim for s in self.stages]
         if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
             raise ConfigurationError(f"stage dims must strictly increase, got {dims}")
-        self.patch_sizes = _ints("patch_sizes", self.patch_sizes, 1, 4)
-        _ints("num_classes", self.num_classes, 2)
-        _ints("input_channels", self.input_channels, 1)
+        self.patch_sizes = _number("patch_sizes", self.patch_sizes, 1, n=4)
+        self.num_classes = _number("num_classes", self.num_classes, 2)
+        self.input_channels = _number("input_channels", self.input_channels, 1)
         if self.input_size is not None:
-            self.input_size = _ints("input_size", self.input_size, 1, 2)
-        if self.window != "all" and _ints("window", self.window, 1) % 2 == 0:
+            self.input_size = _number("input_size", self.input_size, 1, n=2)
+        if self.window != "all" and _number("window", self.window, 1) % 2 == 0:
             raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
-        if not (_real(self.dropout) and 0.0 <= self.dropout < 1.0):
-            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        _number("dropout", self.dropout, 0, 1, real=True)
         needs_size = self.window == "all" or self.phase_mode is PhaseMode.STATIC
         if needs_size and self.input_size is None:
             raise ConfigurationError(
                 "window='all' and static phase require input_size to fix parameter shapes"
             )
-
-
-def _ints(name: str, value, lo: int, n: int = 0):
-    """``value`` (a list or tuple of ``n`` of them when n > 0) checked to be
-    ints >= lo, else ConfigurationError; a bool is not an int."""
-    values = value if n else [value]
-    ok = isinstance(values, (list, tuple)) and len(values) == max(n, 1)
-    if not ok or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-        raise ConfigurationError(f"{name} must be {f'{n} ints' if n else 'an int'}, got {value!r}")
-    if any(v < lo for v in values):
-        raise ConfigurationError(f"{name} must be >= {lo}, got {value!r}")
-    return tuple(values) if n else value
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one, as in ``_ints``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _stage_spec(s) -> StageSpec:
@@ -132,8 +112,7 @@ def _stage_spec(s) -> StageSpec:
         s = StageSpec(**s)
     if not isinstance(s, StageSpec):
         raise ConfigurationError(f"a stage is a dict or StageSpec, got {s!r}")
-    _ints("stage dim, depth, expansion", [s.dim, s.depth, s.expansion], 1, 3)
-    return s
+    return StageSpec(*_number("stage dim, depth, expansion", [s.dim, s.depth, s.expansion], 1, n=3))
 
 
 def _stages(dims, depths, expansions):
@@ -189,10 +168,7 @@ def preset(name: str, **overrides) -> ArchConfig:
     """A fresh ArchConfig for one of the named presets."""
     if name not in PRESETS:
         raise ConfigurationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    spec = dict(PRESETS[name])
-    spec["stages"] = [replace(s) for s in spec["stages"]]
-    spec.update(overrides)
-    return ArchConfig(**spec)
+    return ArchConfig(**{**PRESETS[name], **overrides})  # ArchConfig copies each stage
 
 
 def load_arch_config(source) -> ArchConfig:
@@ -230,10 +206,10 @@ def arch_config_to_dict(cfg: ArchConfig) -> dict:
 
 
 def stage_resolutions(cfg: ArchConfig, h: int, w: int) -> list[tuple[int, int]]:
-    """Token-grid size per stage for an h x w input (ceil division)."""
+    """Token-grid size per stage for an h x w input (exact integer ceil division)."""
     out = []
     for p in cfg.patch_sizes:
-        h, w = math.ceil(h / p), math.ceil(w / p)
+        h, w = -(-h // p), -(-w // p)
         out.append((h, w))
     return out
 
@@ -274,7 +250,7 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     the head is drawn in float64 and cast at once to ``dtype``, float32 or float64."""
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ConfigurationError(f"a model is float32 or float64, got dtype {np.dtype(dtype).name}")
-    rng = np.random.default_rng(_ints("seed", seed, 0))  # numpy seeds its generators from ints >= 0
+    rng = np.random.default_rng(_number("seed", seed, 0))  # numpy seeds its generators from ints >= 0
 
     def cast(node):
         for _, t in iter_params(node):
@@ -391,9 +367,9 @@ def _tally(cfg: ArchConfig, h: int, w: int) -> tuple[int, int]:
     """
     params = macs = 0
     c_in = cfg.input_channels
-    stages = zip(cfg.stages, cfg.patch_sizes, _stage_windows(cfg), _static_sizes(cfg))
-    for spec, p, window, static in stages:
-        h, w = math.ceil(h / p), math.ceil(w / p)
+    tokens = stage_resolutions(cfg, h, w)
+    stages = zip(cfg.stages, cfg.patch_sizes, tokens, _stage_windows(cfg), _static_sizes(cfg))
+    for spec, p, (h, w), window, static in stages:
         d = spec.dim
         theta = {PhaseMode.CHANNEL_FC: d * d, PhaseMode.DEPTHWISE: DEPTHWISE_KERNEL * d}
         per_patm = 2 * d * d + 2 * window * d + theta.get(cfg.phase_mode, 0)  # wc, wout, wt, wi
@@ -426,5 +402,4 @@ def count_flops(m: ArchConfig | ModelParams, h: int, w: int) -> int:
     excluded. Takes a config or a built model, whose config it counts; h and
     w must be ints >= ``MIN_INPUT_SIZE``, as forward needs (ConfigurationError otherwise).
     """
-    _ints("input h, w", (h, w), MIN_INPUT_SIZE, 2)
-    return _tally(_config(m), h, w)[1]
+    return _tally(_config(m), *_number("input h, w", (h, w), MIN_INPUT_SIZE, n=2))[1]

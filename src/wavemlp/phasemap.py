@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .blocks import normalize
-from .errors import ConfigurationError, ContractError, UnsupportedModeError
+from .errors import ConfigurationError, ContractError, UnsupportedModeError, _number
 from .model import ModelParams, _image_batch, stage_walk
 from .patm import estimate_phase
 from .tensor import window_spans
@@ -56,8 +56,8 @@ def check_window(window: int, grid: tuple[int, int] | None = None, mixing: int =
     """ConfigurationError unless ``window`` is an odd map window >= 1 and, for an h x w phase
     ``grid``, at most the larger of the stage's ``mixing`` window and 2*max(h, w) - 1: offsets
     past that reach no token and would add only zero cells to an (h*window) x (w*window) map."""
-    if window < 1 or window % 2 == 0:
-        raise ConfigurationError(f"window must be odd and positive, got {window}")
+    if _number("window", window, 1) % 2 == 0:
+        raise ConfigurationError(f"window must be odd, got {window}")
     bound = window if grid is None else max(mixing, 2 * max(grid) - 1)
     if window > bound:
         raise ConfigurationError(f"window must be at most {bound} for a {grid} grid, got {window}")

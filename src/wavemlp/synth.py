@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .model import _ints
+from .errors import ConfigurationError, _number
 
 __all__ = ["SynthTask", "make_dataset", "GENERATORS"]
 
@@ -36,14 +35,14 @@ class SynthTask:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name in GENERATORS):
             raise ConfigurationError(f"unknown task {self.name!r}; choose from {sorted(GENERATORS)}")
-        h, w, c = self.grid = _ints("grid", self.grid, 1, 3)
+        h, w, c = self.grid = _number("grid", self.grid, 1, n=3)
         if h % CELL or w % CELL or h < 2 * CELL or w < 2 * CELL:
             raise ConfigurationError(f"grid {self.grid} must be multiples of {CELL}, >= {2*CELL}")
-        if _ints("num_classes", self.num_classes, 2) not in (2, 4):
+        if _number("num_classes", self.num_classes, 2) not in (2, 4):
             raise ConfigurationError("synthetic tasks support 2 or 4 classes")
-        _ints("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
-        _ints("train_size", self.train_size, 1)
-        _ints("val_size", self.val_size, 1)
+        _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
+        _number("train_size", self.train_size, 1)
+        _number("val_size", self.val_size, 1)
 
 
 def _stripe_patterns(c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ reverse creation order is backpropagation, since creation order is topological.
 A tape replays once, freeing each record as it goes, then folds, copies if need
 be and assigns each leaf's gradient in one pass.
 
-Ops take ``Tensor`` arguments only, bar settings such as an eps, labels or a
+Ops take ``Tensor`` arguments only, bar settings such as an axis, labels or a
 keep-mask; nothing is coerced. ``linear`` (h @ w.T over the last axis) is the
 one matrix product. A Tensor keeps float32 or float64 data as given, turns
 bool, integer and other float data into float64 and rejects any other data
@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, _number
 
 __all__ = [
     "Tensor",
@@ -304,6 +304,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data * b.data, (a, b), backward)
 
 
+NORM_EPS = 1e-5  # layer_norm's variance floor
 _GELU_A = 0.044715
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -442,10 +443,10 @@ def linear(
     return _result((h.reshape(rows) @ wd.T).reshape(xd.shape[:-1] + (c_out,)), (x, w), backward)
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Standardize over the last axis, then scale and shift; taped as one op.
 
-    u = (x - mean) / sqrt(var + eps) and y = u * scale + shift, with scale and
+    u = (x - mean) / sqrt(var + ``NORM_EPS``) and y = u * scale + shift, with scale and
     shift [channels]. Closed-form backward (Ba et al., arXiv:1607.06450): with
     gu = g * scale, dx = (gu - mean(gu) - u * mean(gu * u)) / root,
     dscale = sum of g * u and dshift = sum of g over every axis but the last.
@@ -455,10 +456,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
             f"layer_norm: input {tuple(x.shape)} needs channels and scale/shift {x.shape[-1:]}, "
             f"got {tuple(scale.shape)}, {tuple(shift.shape)}"
         )
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError(f"layer_norm: eps must be finite and > 0, got {eps!r}")
     unit = x.data - x.data.mean(axis=-1, keepdims=True)
-    root = np.sqrt((unit * unit).mean(axis=-1, keepdims=True) + eps)
+    root = np.sqrt((unit * unit).mean(axis=-1, keepdims=True) + NORM_EPS)
     unit /= root
     sd = scale.data
 
@@ -691,10 +690,8 @@ def grad_check(f, x, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     which fails the check. The default step and tolerance are float64
     settings, so every input must be float64 (else ContractError).
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ContractError(f"grad_check: step must be finite and > 0, got {step!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractError(f"grad_check: tol must be finite and >= 0, got {tol!r}")
+    _number("grad_check: step", step, math.ulp(0.0), real=True, error=ContractError)  # step > 0
+    _number("grad_check: tol", tol, 0, real=True, error=ContractError)
     single = isinstance(x, Tensor)
     xs = [x] if single else list(x)
     if any(t.dtype != np.float64 for t in xs):

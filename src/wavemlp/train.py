@@ -14,9 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DimensionError, NumericError
+from .errors import ConfigurationError, ContractError, DimensionError, NumericError, _number
 from .model import ArchConfig, ModelParams, build, count_flops, count_params, forward, iter_params
-from .model import _ints, _real
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
 from .tensor import Tape, softmax_cross_entropy
@@ -51,19 +50,13 @@ class TrainConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        _ints("epochs", self.epochs, 1)
-        _ints("batch_size", self.batch_size, 1)
-        _ints("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
-        # lr == 0 is allowed: it is the standard no-op training diagnostic.
-        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
-            if not (_real(value) and math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be finite and >= 0")
-        pair = isinstance(self.betas, (list, tuple)) and len(self.betas) == 2
-        if not (pair and all(_real(x) and 0 <= x < 1 for x in self.betas)):
-            raise ConfigurationError(f"betas must be a pair of numbers in [0, 1), got {self.betas!r}")
-        self.betas = tuple(self.betas)
-        if not (_real(self.eps) and 0 < self.eps < math.inf):
-            raise ConfigurationError(f"eps must be finite and > 0, got {self.eps!r}")
+        _number("epochs", self.epochs, 1)
+        _number("batch_size", self.batch_size, 1)
+        _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
+        _number("lr", self.lr, 0, real=True)  # lr == 0 is the standard no-op training diagnostic
+        _number("weight_decay", self.weight_decay, 0, real=True)
+        self.betas = _number("betas", self.betas, 0, 1, n=2, real=True)
+        _number("eps", self.eps, math.ulp(0.0), real=True)  # eps > 0
         if not (isinstance(self.schedule, str) and self.schedule == "cosine"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if not (isinstance(self.precision, str) and self.precision in _DTYPES):

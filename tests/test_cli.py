@@ -115,7 +115,9 @@ def test_count_malformed_config_is_a_typed_error(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("res", ["0", "-5"], ids=["res-zero", "res-negative"])
+@pytest.mark.parametrize(
+    "res", ["0", "-5", "1" + "0" * 400], ids=["res-zero", "res-negative", "res-401-digits"]
+)
 def test_count_bad_resolution_is_a_typed_error(capsys, res):
     code = main(["count", "--preset", "T", "--res", res])
     captured = capsys.readouterr()
@@ -216,7 +218,9 @@ def test_train_numeric_failure_is_reported_on_stderr(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--lr", "nan"], ["--lr", "inf"], ["--wd", "nan"]], ids=["lr-nan", "lr-inf", "wd-nan"]
+    "flags",
+    [["--lr", "nan"], ["--lr", "inf"], ["--wd", "nan"], ["--epochs", "1" + "0" * 400]],
+    ids=["lr-nan", "lr-inf", "wd-nan", "epochs-401-digits"],
 )
 def test_train_non_finite_flag_is_a_typed_error(tmp_path, capsys, flags):
     code = main(["train", "--epochs", "1", "--out", str(tmp_path)] + flags)
@@ -236,6 +240,14 @@ def test_negative_seed_is_a_typed_error(capsys, command):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error=ConfigurationError")
+    assert captured.out == ""
+
+
+def test_a_seed_too_large_for_a_float_is_a_typed_error(capsys):
+    code = main(["count", "--preset", "tiny", "--seed", "1" + "0" * 400])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error=ConfigurationError: --seed must fit in a float\n"
     assert captured.out == ""
 
 

@@ -1,7 +1,6 @@
 """Model assembly, presets, forward contract, and param/FLOP accounting."""
 
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -286,7 +285,7 @@ def _macs_by_term(m, h: int, w: int) -> int:
     total, c_in = 0, cfg.input_channels
     for i, spec in enumerate(cfg.stages):
         p = cfg.patch_sizes[i]
-        h, w = math.ceil(h / p), math.ceil(w / p)
+        h, w = -(-h // p), -(-w // p)  # exact: a float ceil loses ints past 2**53
         n, d = h * w, spec.dim
         total += n * (p * p * c_in) * d  # stem projection
         per_patm = 2 * n * d * d + 2 * m.windows[i] * n * d  # wc, wout, mixing
@@ -566,6 +565,9 @@ def test_stage_resolutions_ceil():
     cfg = preset("tiny")
     assert stage_resolutions(cfg, 224, 224) == [(56, 56), (28, 28), (14, 14), (7, 7)]
     assert stage_resolutions(cfg, 8, 8) == [(2, 2), (1, 1), (1, 1), (1, 1)]
+    big = 2**53 + 1  # the first int a float cannot hold: ceil(big / 4) in floats is one short
+    assert stage_resolutions(cfg, big, 4)[0] == (2**51 + 1, 1)
+    assert count_flops(cfg, big, 4) == _macs_by_term(build(cfg), big, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +632,7 @@ _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-2, 40)
+    | st.just(10**400)  # 401 digits: valid JSON, too large for a float
     | st.floats()
     | st.text(max_size=4)
     | st.sampled_from(["all"] + [m.value for m in PhaseMode]),

@@ -247,38 +247,31 @@ def test_layer_norm_property(case):
     hd = rng.normal(size=d).astype(dtype)
     gd = rng.normal(size=lead + (d,)).astype(dtype)
     x, scale, shift = (Tensor(a, requires_grad=True) for a in (xd, sd, hd))
-    out, records = _taped(lambda *ts: T.layer_norm(*ts, 1e-5), (x, scale, shift), gd)
+    out, records = _taped(T.layer_norm, (x, scale, shift), gd)
     assert records == 1
     centered = xd - xd.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    unit = centered / np.sqrt(var + 1e-5)
+    unit = centered / np.sqrt(var + T.NORM_EPS)
     npt.assert_array_equal(out.data, unit * sd + hd)  # bit-exact step chain
     assert out.dtype == x.grad.dtype == scale.grad.dtype == shift.grad.dtype == dtype
 
     ts64 = [Tensor(a.astype(np.float64)) for a in (xd, sd, hd)]
     r64 = Tensor(gd.astype(np.float64))
-    rep = grad_check(lambda ts: T.reduce_sum(T.mul(T.layer_norm(*ts, 1e-5), r64)), ts64)
+    rep = grad_check(lambda ts: T.reduce_sum(T.mul(T.layer_norm(*ts), r64)), ts64)
     assert rep.passed, rep
 
 
 def test_layer_norm_bad_affine_shapes():
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(DimensionError):
-        T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
     with pytest.raises(DimensionError):
-        T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros((1, 4))), 1e-5)
-
-
-@pytest.mark.parametrize("eps", [-1e-5, 0.0, float("nan"), float("inf")])
-def test_layer_norm_rejects_an_eps_that_is_not_finite_and_positive(eps):
-    x = Tensor(np.ones((2, 4)))
-    with pytest.raises(ContractError, match="eps"):
-        T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps)
+        T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros((1, 4))))
 
 
 def test_layer_norm_rejects_an_input_without_channels():
     with pytest.raises(DimensionError, match="needs channels"):
-        T.layer_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)), 1e-5)
+        T.layer_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +601,7 @@ def test_wave_mix_property(case):
 _SLABBED = {  # op, its argument shapes from (shape, window)
     "gelu": (lambda ts, axis: T.gelu(ts[0]), lambda sh, w: [sh]),
     "layer_norm": (
-        lambda ts, axis: T.layer_norm(*ts, 1e-5),
+        lambda ts, axis: T.layer_norm(*ts),
         lambda sh, w: [sh, sh[-1:], sh[-1:]],
     ),
     "window_mix": (lambda ts, axis: T.window_mix(*ts, axis), lambda sh, w: [sh, (w, sh[-1])]),
@@ -1077,7 +1070,7 @@ def test_tape_keeps_no_add_output_that_only_layer_norm_reads():
     with Tape() as tape:
         h = T.add(a, b)
         residual = weakref.ref(h.data)
-        loss = T.reduce_sum(T.layer_norm(h, scale, shift, 1e-5))
+        loss = T.reduce_sum(T.layer_norm(h, scale, shift))
         del h
     gc.collect()
     assert residual() is None
@@ -1109,7 +1102,7 @@ _OPS = {
     "mul": (T.mul, [(2, 3), (2, 1)]),
     "gelu": (T.gelu, [(2, 3)]),
     "linear": (T.linear, [(2, 3), (4, 3)]),
-    "layer_norm": (lambda x, s, b: T.layer_norm(x, s, b, 1e-5), [(2, 3), (3,), (3,)]),
+    "layer_norm": (T.layer_norm, [(2, 3), (3,), (3,)]),
     "reduce_sum": (T.reduce_sum, [(2, 3)]),
     "reduce_mean": (lambda a: T.reduce_mean(a, axis=1), [(2, 3)]),
     "window_mix": (lambda x, w: T.window_mix(x, w, 1), [(2, 4, 3), (3, 3)]),
@@ -1218,7 +1211,7 @@ def test_changing_a_leaf_after_taping_changes_no_gradient(change):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         x, w1, scale, shift, w2, wm, w3 = leaves
         with Tape() as tape:
-            h = T.layer_norm(T.linear(x, w1), scale, shift, 1e-5)  # 3 rows: w1's dw is late
+            h = T.layer_norm(T.linear(x, w1), scale, shift)  # 3 rows: w1's dw is late
             mixed = T.linear(h, w2, True, (keep, 0.25))
             y = T.window_mix(mixed, wm, 1)
             loss = T.add(T.reduce_sum(T.mul(y, upstream)), T.reduce_mean(T.linear(h, w3)))
@@ -1375,8 +1368,14 @@ def test_grad_check_ignores_a_stale_grad_of_an_input_f_does_not_use():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"step": np.nan}, {"step": np.inf}, {"step": -1e-5}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}],
-    ids=["step-nan", "step-inf", "step-negative", "tol-nan", "tol-inf", "tol-negative"],
+    [
+        {"step": np.nan}, {"step": np.inf}, {"step": -1e-5}, {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0},
+        {"step": True}, {"step": 10**400}, {"tol": 10**400},
+    ],
+    ids=[
+        "step-nan", "step-inf", "step-negative", "tol-nan", "tol-inf", "tol-negative",
+        "step-bool", "step-huge-int", "tol-huge-int",
+    ],
 )
 def test_grad_check_rejects_a_bad_step_or_tolerance(kwargs):
     x = Tensor(np.ones(3), requires_grad=True)

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavemlp.errors import ConfigurationError, ContractError, DimensionError, NumericError
-from wavemlp.model import ArchConfig, build, forward, iter_params, preset
+from wavemlp.model import ArchConfig, StageSpec, build, count_flops, forward, iter_params, preset
+from wavemlp.phasemap import check_window
 from wavemlp.selftest import load_pilot, pilot_task_config
 from wavemlp.synth import SynthTask, make_dataset
 from wavemlp.train import (
@@ -311,6 +312,51 @@ def test_configs_refuse_wrong_typed_settings(cls, changes, match):
 def test_configs_take_numpy_real_numbers():
     assert TrainConfig(lr=np.float32(0.5), eps=1, betas=(0, np.float64(0.5))).lr == np.float32(0.5)
     assert ArchConfig(preset("tiny").stages, dropout=np.float32(0.25)).dropout == 0.25
+    stages = [StageSpec(2**20 * k, 1, 4) for k in (1, 2, 3, 4)]  # MACs past int64 at 2**20
+    numpy_stages = [StageSpec(*map(np.int64, (s.dim, s.depth, s.expansion))) for s in stages]
+    numpy_cfg = ArchConfig(numpy_stages, patch_sizes=tuple(map(np.int64, (4, 2, 2, 2))))
+    assert count_flops(numpy_cfg, 2**20, np.int64(2**20)) == count_flops(ArchConfig(stages), 2**20, 2**20)
+
+
+_NUMBERS = st.sampled_from(
+    [0, 1, 2, 3, 4, 7, 16, 64, 1e-8, 0.05, 0.5, 0.999]  # valid for some setting
+    + [-1, -0.5, 10**400, -(10**400), 2**53 + 1, True, False, math.nan, math.inf, -math.inf]
+    + [np.int64(4), np.float32(0.25), np.float64(math.nan), np.bool_(True), "3", "", None]
+)
+_SETTING_VALUES = _NUMBERS | st.lists(_NUMBERS, max_size=5) | st.lists(_NUMBERS, max_size=5).map(tuple)
+
+# call name -> (the call, the number settings it takes as keywords)
+_SETTING_CALLS = {
+    "TrainConfig": (TrainConfig, ["epochs", "batch_size", "lr", "weight_decay", "betas", "eps", "seed"]),
+    "SynthTask": (SynthTask, ["grid", "num_classes", "seed", "train_size", "val_size"]),
+    "preset": (
+        lambda **kw: preset("tiny", **kw),
+        ["window", "patch_sizes", "num_classes", "input_channels", "input_size", "dropout"],
+    ),
+    "count_flops": (lambda h=64, w=64: count_flops(preset("tiny"), h, w), ["h", "w"]),
+    "check_window": (check_window, ["window"]),
+}
+
+
+@st.composite
+def _setting_calls(draw):
+    name = draw(st.sampled_from(sorted(_SETTING_CALLS)))
+    keys = draw(st.lists(st.sampled_from(_SETTING_CALLS[name][1]), min_size=1, max_size=3, unique=True))
+    return name, {k: draw(_SETTING_VALUES) for k in keys}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@example(call=("TrainConfig", {"lr": 10**400}))
+@given(call=_setting_calls())
+def test_number_settings_build_or_raise_a_configuration_error(call):
+    """Every number setting, drawn valid, on a boundary or hostile (a bool, nan, an infinity,
+    an int too large for a float, a numpy scalar, a string, None, a list), builds its object
+    or raises ConfigurationError, nothing else."""
+    name, kwargs = call
+    try:
+        _SETTING_CALLS[name][0](**kwargs)
+    except ConfigurationError:
+        pass
 
 
 def test_training_config_loads_the_pilot_betas_list():
