@@ -35,16 +35,15 @@ print("equivalent signed amplitudes:", signed[0, :, 0, 0])
 print()
 
 # a full module: amplitude channel-FC, phase estimator, mixing, output FC
-p = init_patm(d=4, window=3, axis="width", phase_mode=PhaseMode.CHANNEL_FC,
-              rng=np.random.default_rng(1))
+p = init_patm(d=4, window=3, phase_mode=PhaseMode.CHANNEL_FC, rng=np.random.default_rng(1))
 x = Tensor(rng.normal(size=(2, 3, 6, 4)))
-theta = estimate_phase(x, p.phase_mode, p.wtheta, p.axis)
-out = patm_forward(x, p)
+theta = estimate_phase(x, p.phase_mode, p.wtheta, "width")
+out = patm_forward(x, p, "width")
 print("dynamic phases are input-dependent: theta[0,0,0] =", np.round(theta.data[0, 0, 0], 3))
 print("module preserves shape:", x.shape, "->", out.shape)
 
 # same parameters serve any grid size (relative-offset weight sharing)
 for h, w in [(1, 9), (5, 2), (7, 7)]:
-    y = patm_forward(Tensor(rng.normal(size=(1, h, w, 4))), p)
+    y = patm_forward(Tensor(rng.normal(size=(1, h, w, 4))), p, "width")
     assert y.shape == (1, h, w, 4)
 print("one parameter set ran grids (1,9), (5,2), (7,7) unchanged")

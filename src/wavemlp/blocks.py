@@ -42,7 +42,7 @@ class NormParams:
 
 @dataclass
 class BlockParams:
-    """One block: two axis-wise mixing modules, a direct branch, and an MLP."""
+    """One block: mixing along height (patm_h) and width (patm_w), a direct branch, an MLP."""
 
     patm_h: PatmParams
     patm_w: PatmParams
@@ -53,8 +53,6 @@ class BlockParams:
     norm2: NormParams
 
     def __post_init__(self):
-        if self.patm_h.axis != "height" or self.patm_w.axis != "width":
-            raise ConfigurationError("patm_h must mix height and patm_w width")
         if self.patm_h.wt.shape != self.patm_w.wt.shape:
             raise ConfigurationError("both mixing modules must share one [window, channels]")
 
@@ -76,7 +74,7 @@ def token_mixing_forward(x: Tensor, b: BlockParams) -> Tensor:
     """Residual sum of the two axis mixers and the direct channel-FC branch."""
     n = normalize(x, b.norm1.scale, b.norm1.shift)
     y = add(
-        add(patm_forward(n, b.patm_h), patm_forward(n, b.patm_w)),
+        add(patm_forward(n, b.patm_h, "height"), patm_forward(n, b.patm_w, "width")),
         channel_fc(n, b.branch_fc),
     )
     return add(x, y)
@@ -139,8 +137,8 @@ def init_block(
     static_size: tuple[int, int] | None = None,
 ) -> BlockParams:
     """Draw one block's float64 parameters in a fixed order."""
-    patm_h = init_patm(d, window, "height", phase_mode, rng, static_size)
-    patm_w = init_patm(d, window, "width", phase_mode, rng, static_size)
+    patm_h = init_patm(d, window, phase_mode, rng, static_size)
+    patm_w = init_patm(d, window, phase_mode, rng, static_size)
     branch_fc = _uniform(rng, (d, d), d)
     mlp_fc1 = _uniform(rng, (expansion * d, d), d)
     mlp_fc2 = _uniform(rng, (d, expansion * d), expansion * d)

@@ -43,6 +43,13 @@ class OutputError(WaveMlpError):
     """An output directory or file could not be created or written."""
 
 
+def _shown(value) -> str:
+    try:  # repr raises for an int past Python's digit limit for str(), or a list holding one
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _number(name: str, value, lo, hi=math.inf, n: int = 0, real: bool = False, error=ConfigurationError):
     """``value`` (a list or tuple of ``n`` of them when n > 0) if each is an int, or a real
     number when ``real``, whose float() lies in [lo, hi), else ``error`` naming the setting.
@@ -53,12 +60,12 @@ def _number(name: str, value, lo, hi=math.inf, n: int = 0, real: bool = False, e
     values = value if n else [value]
     ok = isinstance(values, (list, tuple)) and len(values) == max(n, 1)
     if not (ok and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)):
-        raise error(f"{name} must be {n or 'one'} {word}{'s' * bool(n)}, got {value!r}")
+        raise error(f"{name} must be {n or 'one'} {word}{'s' * bool(n)}, got {_shown(value)}")
     try:
         inside = all(lo <= float(v) < hi for v in values)
     except OverflowError:
         raise error(f"{name} must fit in a float") from None
     if not inside:
-        raise error(f"{name} must be in [{lo}, {hi}), got {value!r}")
+        raise error(f"{name} must be in [{lo}, {hi}), got {_shown(value)}")
     values = tuple(values) if real else tuple(map(int, values))
     return values if n else values[0]

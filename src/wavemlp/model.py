@@ -11,6 +11,7 @@ closed forms of the ``ArchConfig``: counting builds no model.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -247,10 +248,14 @@ class ModelParams:
 
 def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     """Deterministic initialization: one seed, one fixed draw order. Each stem, block and
-    the head is drawn in float64 and cast at once to ``dtype``, float32 or float64."""
+    the head is drawn in float64 and cast at once to ``dtype``, float32 or float64. A config
+    whose parameters alone outgrow physical memory is a ConfigurationError before any draw."""
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ConfigurationError(f"a model is float32 or float64, got dtype {np.dtype(dtype).name}")
     rng = np.random.default_rng(_number("seed", seed, 0))  # numpy seeds its generators from ints >= 0
+    need = count_params(cfg) * np.dtype(dtype).itemsize
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):  # physical memory
+        raise ConfigurationError(f"the model needs {need} bytes of parameters, more than physical memory")
 
     def cast(node):
         for _, t in iter_params(node):
@@ -283,7 +288,7 @@ def iter_params(node, prefix: str = "") -> list[tuple[str, Tensor]]:
     ``StemParams`` or ``NormParams``. Names are field paths such as
     ``stems.0.weight``, ``stages.2.0.patm_h.wc`` or ``head_bias``: a list
     contributes its index, a dataclass its field names. Anything that is not
-    a Tensor, list or dataclass (a config, an axis, a mode, a patch size, a
+    a Tensor, list or dataclass (a config, a mode, a patch size, a
     missing ``wtheta``) holds no learnables. The order is fixed (stems,
     stages, final norm, head, bias for a model); the optimizer relies on it.
     """

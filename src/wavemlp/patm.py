@@ -78,7 +78,9 @@ class PatmParams:
                          the odd mixing window is wt.shape[0], stored nowhere else
     wi     [window, d]   imaginary-part mixing weights, same shape as wt
     wout   [d, d]        output channel-FC
-    axis                 "height" or "width"
+
+    The axis it mixes along is its slot in the block (``patm_h``, ``patm_w``), passed
+    to ``patm_forward`` and stored nowhere here.
     """
 
     wc: Tensor
@@ -86,11 +88,9 @@ class PatmParams:
     wt: Tensor
     wi: Tensor
     wout: Tensor
-    axis: str
     phase_mode: PhaseMode
 
     def __post_init__(self):
-        _axis_index(self.axis)
         wt, wi = tuple(self.wt.shape), tuple(self.wi.shape)
         if len(wt) != 2 or wt[0] % 2 == 0 or wi != wt:
             raise ConfigurationError(f"wt, wi must share one [odd window, d], got {wt}, {wi}")
@@ -166,11 +166,11 @@ def aggregate_tokens(amp: Tensor, theta: Tensor, wt: Tensor, wi: Tensor, axis: s
     return wave_mix(amp, theta, wt, wi, _axis_index(axis))
 
 
-def patm_forward(x: Tensor, p: PatmParams) -> Tensor:
-    """Full module: amplitude, phase, windowed mixing, output channel-FC."""
+def patm_forward(x: Tensor, p: PatmParams, axis: str) -> Tensor:
+    """Full module along ``axis``: amplitude, phase, windowed mixing, output channel-FC."""
     amp = compute_amplitude(x, p.wc)
-    theta = estimate_phase(x, p.phase_mode, p.wtheta, p.axis)
-    mixed = aggregate_tokens(amp, theta, p.wt, p.wi, p.axis)
+    theta = estimate_phase(x, p.phase_mode, p.wtheta, axis)
+    mixed = aggregate_tokens(amp, theta, p.wt, p.wi, axis)
     return channel_fc(mixed, p.wout)
 
 
@@ -182,7 +182,6 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 def init_patm(
     d: int,
     window: int,
-    axis: str,
     phase_mode: PhaseMode,
     rng: np.random.Generator,
     static_size: tuple[int, int] | None = None,
@@ -204,4 +203,4 @@ def init_patm(
     wt = _uniform(rng, (window, d), window)
     wi = _uniform(rng, (window, d), window)
     wout = _uniform(rng, (d, d), d)
-    return PatmParams(wc, wtheta, wt, wi, wout, axis, phase_mode)
+    return PatmParams(wc, wtheta, wt, wi, wout, phase_mode)

@@ -140,10 +140,10 @@ def check_gradients(seed: int = 0, tol: float = 1e-4, step: float = 1e-5) -> lis
     run("channel_mlp", lambda ts: _mean_square(channel_mlp_forward(xb, blk)), mlp_ts)
 
     for mode in PhaseMode:
-        p = init_patm(2, 3, "width", mode, np.random.default_rng(seed + 2), static_size=(3, 4))
+        p = init_patm(2, 3, mode, np.random.default_rng(seed + 2), static_size=(3, 4))
         xp = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
         patm_ts = [xp] + _tensors(p)
-        run(f"patm_{mode.value}", lambda ts: _mean_square(patm_forward(xp, p)), patm_ts)
+        run(f"patm_{mode.value}", lambda ts: _mean_square(patm_forward(xp, p, "width")), patm_ts)
 
     amp = Tensor(rng.normal(size=(1, 5, 2, 2)), requires_grad=True)
     theta = Tensor(rng.uniform(-3, 3, size=(1, 5, 2, 2)), requires_grad=True)

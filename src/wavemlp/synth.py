@@ -1,11 +1,12 @@
 """Deterministic synthetic classification tasks for desk-scale training.
 
-"interference" plants two small oriented patterns (row stripes and column
-stripes) on 4x4 cells of the image and labels each sample by the quadrant of
-the offset from the first pattern to the second. The label depends only on
-relative position, so no single token decides it: solving the task requires
-mixing information across tokens. "blobs" is a control task labelled by the
-absolute quadrant of a single bright cell.
+A task is a rule run by one sample loop: for each sample it places the 4x4
+cells to paint and returns a quadrant as a row bit and a column bit; the label
+is the row bit with 2 classes and 2*row + column with 4. "interference" paints
+row stripes and column stripes, and its quadrant is that of the offset from
+the first to the second: no single token decides the label, so solving the
+task requires mixing information across tokens. "blobs", a control, paints
+one bright cell and takes its absolute quadrant.
 """
 
 from __future__ import annotations
@@ -48,52 +49,42 @@ class SynthTask:
 def _stripe_patterns(c: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.where(np.arange(CELL) % 2 == 0, PATTERN_GAIN, -PATTERN_GAIN)
     a = np.repeat(rows[:, None], CELL, axis=1)[:, :, None] * np.ones(c)
-    b = np.repeat(rows[None, :], CELL, axis=0)[:, :, None] * np.ones(c)
-    return a, b
+    return a, a.transpose(1, 0, 2)
 
 
-def _interference(rng: np.random.Generator, n: int, task: SynthTask):
-    h, w, c = task.grid
-    gh, gw = h // CELL, w // CELL
-    pat_a, pat_b = _stripe_patterns(c)
-    x = rng.normal(0.0, NOISE_SIGMA, size=(n, h, w, c))
-    y = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        while True:
-            ra, ca, rb, cb = rng.integers(0, (gh, gw, gh, gw))
-            if ra != rb and ca != cb:
-                break
-        x[i, ra * CELL : (ra + 1) * CELL, ca * CELL : (ca + 1) * CELL] += pat_a
-        x[i, rb * CELL : (rb + 1) * CELL, cb * CELL : (cb + 1) * CELL] += pat_b
-        if task.num_classes == 2:
-            y[i] = int(rb > ra)
-        else:
-            y[i] = 2 * int(rb > ra) + int(cb > ca)
-    return x, y
+def _interference(rng: np.random.Generator, gh: int, gw: int, stripes):
+    """Stripes a and b on cells in distinct rows and columns; is b below a, right of a."""
+    while True:
+        ra, ca, rb, cb = rng.integers(0, (gh, gw, gh, gw))
+        if ra != rb and ca != cb:
+            return [(ra, ca, stripes[0]), (rb, cb, stripes[1])], (rb > ra, cb > ca)
 
 
-def _blobs(rng: np.random.Generator, n: int, task: SynthTask):
-    h, w, c = task.grid
-    gh, gw = h // CELL, w // CELL
-    x = rng.normal(0.0, NOISE_SIGMA, size=(n, h, w, c))
-    y = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        r, cc = rng.integers(0, (gh, gw))
-        x[i, r * CELL : (r + 1) * CELL, cc * CELL : (cc + 1) * CELL] += PATTERN_GAIN
-        if task.num_classes == 2:
-            y[i] = int(r >= gh // 2)
-        else:
-            y[i] = 2 * int(r >= gh // 2) + int(cc >= gw // 2)
-    return x, y
+def _blobs(rng: np.random.Generator, gh: int, gw: int, stripes):
+    """One bright cell; is it in the bottom half, in the right half."""
+    r, c = rng.integers(0, (gh, gw))
+    return [(r, c, PATTERN_GAIN)], (r >= gh // 2, c >= gw // 2)
 
 
 GENERATORS = {"interference": _interference, "blobs": _blobs}
 
 
+def _split(rng: np.random.Generator, n: int, task: SynthTask, stripes):
+    """n samples: the noise for all of them, then per sample its rule's cells and label."""
+    h, w, c = task.grid
+    rule = GENERATORS[task.name]
+    x = rng.normal(0.0, NOISE_SIGMA, size=(n, h, w, c))
+    y = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        cells, (row, col) = rule(rng, h // CELL, w // CELL, stripes)
+        for r, cc, paint in cells:
+            x[i, r * CELL : (r + 1) * CELL, cc * CELL : (cc + 1) * CELL] += paint
+        y[i] = int(row) if task.num_classes == 2 else 2 * int(row) + int(col)
+    return x, y
+
+
 def make_dataset(task: SynthTask):
     """(x_train, y_train, x_val, y_val); bit-reproducible from task.seed."""
     rng = np.random.default_rng(task.seed)
-    gen = GENERATORS[task.name]
-    x_train, y_train = gen(rng, task.train_size, task)
-    x_val, y_val = gen(rng, task.val_size, task)
-    return x_train, y_train, x_val, y_val
+    stripes = _stripe_patterns(task.grid[2])
+    return (*_split(rng, task.train_size, task, stripes), *_split(rng, task.val_size, task, stripes))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError, NumericError, _number
-from .model import ArchConfig, ModelParams, build, count_flops, count_params, forward, iter_params
+from .model import ArchConfig, ModelParams, build, count_flops, count_params, forward, iter_params, preset
 from .patm import PhaseMode
 from .synth import SynthTask, make_dataset
 from .tensor import Tape, softmax_cross_entropy
@@ -304,10 +304,9 @@ def ablate(
     axis: str,
     task: SynthTask,
     tc: TrainConfig,
-    base: ArchConfig | None = None,
     seeds: Sequence[int] = (0, 1, 2),
 ) -> AblationTable:
-    """Train one model per setting of one axis, over a shared seed set.
+    """Train one tiny model, sized to the task, per setting of one axis, over a shared seed set.
 
     Rows mirror the three ablation axes: phase modes (None / Static /
     ChannelFC), estimator forms (Identity / DepthWise / ChannelFC), and
@@ -321,10 +320,7 @@ def ablate(
         raise ConfigurationError(f"unknown ablation axis {axis!r}; choose from {sorted(ABLATION_AXES)}")
     if not 3 <= len(seeds[:101]) <= 100:  # a slice: a huge range is never counted or built
         raise ConfigurationError("ablations use 3 to 100 seeds")
-    if base is None:
-        from .model import preset
-
-        base = preset("tiny", num_classes=task.num_classes, input_size=task.grid[:2])
+    base = preset("tiny", num_classes=task.num_classes, input_size=task.grid[:2])
     rows = []
     for setting, value in ABLATION_AXES[axis]:
         cfg = _cell_config(base, axis, value)

@@ -2,10 +2,13 @@
 
 import contextlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavemlp.blocks import (
     BlockParams,
@@ -62,25 +65,47 @@ def _block_with(patm_h, patm_w):
 
 @pytest.mark.parametrize(
     "h_args,w_args",
-    [
-        ((3, 3, "width"), (3, 3, "height")),  # swapped axes
-        ((3, 3, "height"), (3, 5, "width")),  # different windows
-        ((3, 3, "height"), (4, 3, "width")),  # different channel counts
-    ],
-    ids=["swapped-axes", "different-windows", "different-channels"],
+    [((3, 3), (3, 5)), ((3, 3), (4, 3))],  # (channels, window) of each mixer
+    ids=["different-windows", "different-channels"],
 )
 def test_block_params_rejects_mismatched_mixers(h_args, w_args):
-    (dh, win_h, axis_h), (dw, win_w, axis_w) = h_args, w_args
-    patm_h = init_patm(dh, win_h, axis_h, PhaseMode.CHANNEL_FC, _rng(31))
-    patm_w = init_patm(dw, win_w, axis_w, PhaseMode.CHANNEL_FC, _rng(32))
+    patm_h = init_patm(*h_args, PhaseMode.CHANNEL_FC, _rng(31))
+    patm_w = init_patm(*w_args, PhaseMode.CHANNEL_FC, _rng(32))
     with pytest.raises(ConfigurationError):
         _block_with(patm_h, patm_w)
 
 
 def test_block_params_accepts_matching_mixers():
-    patm_h = init_patm(3, 5, "height", PhaseMode.CHANNEL_FC, _rng(31))
-    patm_w = init_patm(3, 5, "width", PhaseMode.CHANNEL_FC, _rng(32))
+    patm_h = init_patm(3, 5, PhaseMode.CHANNEL_FC, _rng(31))
+    patm_w = init_patm(3, 5, PhaseMode.CHANNEL_FC, _rng(32))
     assert _block_with(patm_h, patm_w).patm_w.wt.shape == (5, 3)
+
+
+@pytest.mark.parametrize("mode", list(PhaseMode))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    d=st.integers(1, 4),
+    window=st.sampled_from([1, 3, 5, 9]),
+    seed=st.integers(0, 2**16),
+)
+def test_swapping_the_mixers_mixes_the_transposed_grid(mode, h, w, d, window, seed):
+    """A mixer's axis is its slot in the block: with patm_h and patm_w swapped (a static
+    phase grid transposed), token mixing of the H<->W-transposed input is the transposed
+    output, within 1e-12 of its largest magnitude."""
+    b = init_block(d, 2, window, mode, _rng(seed), static_size=(h, w))
+
+    def moved(p):
+        if mode is not PhaseMode.STATIC:
+            return p
+        return replace(p, wtheta=Tensor(np.ascontiguousarray(p.wtheta.data.transpose(1, 0, 2))))
+
+    swapped = replace(b, patm_h=moved(b.patm_w), patm_w=moved(b.patm_h))
+    x = _rng(seed + 1).normal(size=(2, h, w, d))
+    want = token_mixing_forward(Tensor(x), b).data.swapaxes(1, 2)
+    got = token_mixing_forward(Tensor(np.ascontiguousarray(x.swapaxes(1, 2))), swapped).data
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_token_mixing_gradients():

@@ -15,6 +15,7 @@ import pytest
 import wavemlp
 from wavemlp.cli import _build_parser, _train_config, main
 from wavemlp.errors import NumericError
+from wavemlp.model import arch_config_to_dict, preset
 from wavemlp.selftest import load_pilot
 from wavemlp.train import TrainConfig
 
@@ -249,6 +250,22 @@ def test_a_seed_too_large_for_a_float_is_a_typed_error(capsys):
     assert code == 1
     assert captured.err == "error=ConfigurationError: --seed must fit in a float\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "check-grads"])
+def test_a_config_too_large_for_memory_is_a_typed_error(tmp_path, capsys, command):
+    """Stage dims of 10**7 make 5.6e15 parameters: one error line, not numpy's allocation error."""
+    doc = arch_config_to_dict(preset("tiny"))
+    for k, stage in enumerate(doc["stages"]):
+        stage["dim"] = 10**7 + k
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")] if command == "train" else []
+    code = main([command, "--config", str(config), *out])
+    err = capsys.readouterr().err
+    assert code == 1
+    message = r"the model needs \d+ bytes of parameters, more than physical memory"
+    assert re.fullmatch(rf"error=ConfigurationError: {message}\n", err)
 
 
 def test_check_grads_non_finite_tolerance_is_a_typed_error(capsys):

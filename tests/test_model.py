@@ -398,6 +398,21 @@ def test_build_rejects_a_seed_numpy_cannot_take(seed):
         build(preset("tiny"), seed)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_build_refuses_a_config_too_large_for_memory_before_any_draw(dtype):
+    """Stage dims of 10**7 make 5.6e15 parameters; numpy would fail allocating the first."""
+    cfg = preset("tiny", stages=[StageSpec(10**7 + k, 1, 2) for k in range(4)])
+    need = count_params(cfg) * np.dtype(dtype).itemsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=f"needs {need} bytes"):
+            build(cfg, 0, dtype)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("name, res, batch, records", [("tiny", 16, 64, 80), ("T", 64, 1, 182)])
 def test_a_taped_step_makes_a_fixed_number_of_records(name, res, batch, records):
     """The pilot's step (tiny, B=64, 16x16) and a T step at 64: one record per fused op."""
@@ -537,7 +552,7 @@ def test_init_helpers_draw_f64(mode):
     nodes = [
         init_stem(2, 3, 4, rng),
         init_block(4, 2, 3, mode, rng, static_size=(2, 3)),
-        init_patm(4, 5, "width", mode, rng, static_size=(2, 3)),
+        init_patm(4, 5, mode, rng, static_size=(2, 3)),
     ]
     assert {t.dtype for node in nodes for _, t in iter_params(node)} == {np.dtype(np.float64)}
 

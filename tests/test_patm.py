@@ -1,7 +1,5 @@
 """Phase-aware token mixing: semantics of each sub-op, oracles, invariants."""
 
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -33,7 +31,6 @@ def _identity_params(d, window=1, mode=PhaseMode.NONE):
         wt=Tensor(np.concatenate([np.zeros((window // 2, d)), np.ones((1, d)), np.zeros((window // 2, d))])),
         wi=Tensor(np.zeros((window, d))),
         wout=Tensor(np.eye(d)),
-        axis="height",
         phase_mode=mode,
     )
 
@@ -262,25 +259,25 @@ def test_translation_equivariance_in_interior():
 def test_patm_identity_composition():
     rng = _rng(14)
     x = Tensor(rng.normal(size=(2, 4, 5, 3)))
-    out = patm_forward(x, _identity_params(3))
+    out = patm_forward(x, _identity_params(3), "height")
     npt.assert_allclose(out.data, x.data, atol=1e-15)
 
 
 def test_patm_shape_contract_over_grid_sizes():
-    p = init_patm(2, 3, "width", PhaseMode.CHANNEL_FC, _rng(15))
+    p = init_patm(2, 3, PhaseMode.CHANNEL_FC, _rng(15))
     for h in range(1, 10):
         for w in range(1, 10):
             x = Tensor(np.random.default_rng(h * 10 + w).normal(size=(1, h, w, 2)))
-            assert patm_forward(x, p).shape == (1, h, w, 2)
+            assert patm_forward(x, p, "width").shape == (1, h, w, 2)
 
 
 def test_patm_gradients_wrt_params_and_input():
     rng = _rng(16)
-    p = init_patm(2, 3, "height", PhaseMode.CHANNEL_FC, _rng(17))
+    p = init_patm(2, 3, PhaseMode.CHANNEL_FC, _rng(17))
     x = Tensor(rng.normal(size=(1, 4, 3, 2)), requires_grad=True)
     tensors = [x, p.wc, p.wtheta, p.wt, p.wi, p.wout]
     rep = grad_check(
-        lambda ts: reduce_mean(mul(patm_forward(x, p), patm_forward(x, p))),
+        lambda ts: reduce_mean(mul(patm_forward(x, p, "height"), patm_forward(x, p, "height"))),
         tensors,
         step=1e-5,
         tol=1e-4,
@@ -291,22 +288,22 @@ def test_patm_gradients_wrt_params_and_input():
 def test_patm_linear_when_no_phase_and_zero_wi():
     rng = _rng(18)
     d = 3
-    p = init_patm(d, 3, "height", PhaseMode.NONE, _rng(19))
+    p = init_patm(d, 3, PhaseMode.NONE, _rng(19))
     p.wi.data[:] = 0.0
     x1 = Tensor(rng.normal(size=(1, 4, 4, d)))
     x2 = Tensor(rng.normal(size=(1, 4, 4, d)))
     a, b = 1.7, -0.6
-    lhs = patm_forward(Tensor(a * x1.data + b * x2.data), p).data
-    rhs = a * patm_forward(x1, p).data + b * patm_forward(x2, p).data
+    lhs = patm_forward(Tensor(a * x1.data + b * x2.data), p, "height").data
+    rhs = a * patm_forward(x1, p, "height").data + b * patm_forward(x2, p, "height").data
     npt.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_patm_param_count_independent_of_spatial_size():
-    p = init_patm(4, 5, "width", PhaseMode.DEPTHWISE, _rng(20))
+    p = init_patm(4, 5, PhaseMode.DEPTHWISE, _rng(20))
     tensors = [p.wc, p.wtheta, p.wt, p.wi, p.wout]
     n = sum(t.size for t in tensors)
     for h, w in [(1, 1), (3, 8), (9, 2)]:
-        patm_forward(Tensor(np.zeros((1, h, w, 4))), p)
+        patm_forward(Tensor(np.zeros((1, h, w, 4))), p, "width")
         assert sum(t.size for t in tensors) == n
     assert n == 4 * 4 + 3 * 4 + 5 * 4 + 5 * 4 + 4 * 4
 
@@ -324,7 +321,6 @@ def test_patm_params_validation():
             wt=Tensor(np.zeros((wt_rows, 2))),
             wi=Tensor(np.zeros((wi_rows, 2))),
             wout=Tensor(np.eye(2)),
-            axis="height",
             phase_mode=PhaseMode.NONE,
         )
 
@@ -332,8 +328,6 @@ def test_patm_params_validation():
         params(2, 2)  # even window
     with pytest.raises(ConfigurationError):
         params(3, 1)  # wt and wi differ
-    with pytest.raises(ConfigurationError):
-        init_patm(2, 3, "diagonal", PhaseMode.NONE, _rng(21))
 
 
 _BAD_AXIS = "axis must be height or width, got 'depth'"
@@ -353,6 +347,6 @@ def test_aggregate_tokens_and_patm_params_reject_a_bad_axis_name():
     with pytest.raises(ConfigurationError, match=_BAD_AXIS):
         aggregate_tokens(x, x, w, w, "depth")
     with pytest.raises(ConfigurationError, match=_BAD_AXIS):
-        replace(_identity_params(2), axis="depth")
+        patm_forward(x, _identity_params(2), "depth")
     with pytest.raises(ConfigurationError, match=r"got \['height'\]"):  # unhashable, not a TypeError
         aggregate_tokens(x, x, w, w, ["height"])

@@ -15,7 +15,7 @@ from wavemlp.errors import ConfigurationError, ContractError, DimensionError, Nu
 from wavemlp.model import ArchConfig, StageSpec, build, count_flops, forward, iter_params, preset
 from wavemlp.phasemap import check_window
 from wavemlp.selftest import load_pilot, pilot_task_config
-from wavemlp.synth import SynthTask, make_dataset
+from wavemlp.synth import CELL, NOISE_SIGMA, PATTERN_GAIN, SynthTask, make_dataset
 from wavemlp.train import (
     ABLATION_AXES,
     AdamWState,
@@ -209,6 +209,70 @@ def test_blobs_task_generates():
     assert set(np.unique(y)) <= {0, 1, 2, 3}
 
 
+def _oracle_stripes(c):
+    rows = np.where(np.arange(CELL) % 2 == 0, PATTERN_GAIN, -PATTERN_GAIN)
+    a = np.repeat(rows[:, None], CELL, axis=1)[:, :, None] * np.ones(c)
+    b = np.repeat(rows[None, :], CELL, axis=0)[:, :, None] * np.ones(c)
+    return a, b
+
+
+def _oracle_interference(rng, n, task):
+    """The interference split as it was written before both tasks shared one sample loop."""
+    h, w, c = task.grid
+    gh, gw = h // CELL, w // CELL
+    pat_a, pat_b = _oracle_stripes(c)
+    x = rng.normal(0.0, NOISE_SIGMA, size=(n, h, w, c))
+    y = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        while True:
+            ra, ca, rb, cb = rng.integers(0, (gh, gw, gh, gw))
+            if ra != rb and ca != cb:
+                break
+        x[i, ra * CELL : (ra + 1) * CELL, ca * CELL : (ca + 1) * CELL] += pat_a
+        x[i, rb * CELL : (rb + 1) * CELL, cb * CELL : (cb + 1) * CELL] += pat_b
+        if task.num_classes == 2:
+            y[i] = int(rb > ra)
+        else:
+            y[i] = 2 * int(rb > ra) + int(cb > ca)
+    return x, y
+
+
+def _oracle_blobs(rng, n, task):
+    """The blobs split as it was written before both tasks shared one sample loop."""
+    h, w, c = task.grid
+    gh, gw = h // CELL, w // CELL
+    x = rng.normal(0.0, NOISE_SIGMA, size=(n, h, w, c))
+    y = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        r, cc = rng.integers(0, (gh, gw))
+        x[i, r * CELL : (r + 1) * CELL, cc * CELL : (cc + 1) * CELL] += PATTERN_GAIN
+        if task.num_classes == 2:
+            y[i] = int(r >= gh // 2)
+        else:
+            y[i] = 2 * int(r >= gh // 2) + int(cc >= gw // 2)
+    return x, y
+
+
+_EXTENTS = st.sampled_from([8, 12, 16, 20, 24])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["interference", "blobs"]),
+    num_classes=st.sampled_from([2, 4]),
+    grid=st.tuples(_EXTENTS, _EXTENTS, st.integers(1, 3)),
+    seed=st.integers(0, 2**32),
+    sizes=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+)
+def test_make_dataset_is_byte_equal_to_a_sample_loop_per_task(name, num_classes, grid, seed, sizes):
+    task = SynthTask(name, grid, num_classes, seed, *sizes)
+    oracle, rng = {"interference": _oracle_interference, "blobs": _oracle_blobs}[name], _rng(seed)
+    want = (*oracle(rng, sizes[0], task), *oracle(rng, sizes[1], task))
+    for got, expected in zip(make_dataset(task), want, strict=True):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_task_validation():
     with pytest.raises(ConfigurationError):
         SynthTask(name="nope")
@@ -320,7 +384,7 @@ def test_configs_take_numpy_real_numbers():
 
 _NUMBERS = st.sampled_from(
     [0, 1, 2, 3, 4, 7, 16, 64, 1e-8, 0.05, 0.5, 0.999]  # valid for some setting
-    + [-1, -0.5, 10**400, -(10**400), 2**53 + 1, True, False, math.nan, math.inf, -math.inf]
+    + [-1, -0.5, 10**400, -(10**400), 10**5000, 2**53 + 1, True, False, math.nan, math.inf, -math.inf]
     + [np.int64(4), np.float32(0.25), np.float64(math.nan), np.bool_(True), "3", "", None]
 )
 _SETTING_VALUES = _NUMBERS | st.lists(_NUMBERS, max_size=5) | st.lists(_NUMBERS, max_size=5).map(tuple)
@@ -347,6 +411,7 @@ def _setting_calls(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @example(call=("TrainConfig", {"lr": 10**400}))
+@example(call=("preset", {"patch_sizes": [0, 10**5000, 2, 2]}))
 @given(call=_setting_calls())
 def test_number_settings_build_or_raise_a_configuration_error(call):
     """Every number setting, drawn valid, on a boundary or hostile (a bool, nan, an infinity,
