@@ -96,8 +96,10 @@ class ArchConfig:
         self.input_channels = _number("input_channels", self.input_channels, 1)
         if self.input_size is not None:
             self.input_size = _number("input_size", self.input_size, 1, n=2)
-        if self.window != "all" and _number("window", self.window, 1) % 2 == 0:
-            raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
+        if self.window != "all":
+            self.window = _number("window", self.window, 1)
+            if self.window % 2 == 0:
+                raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
         _number("dropout", self.dropout, 0, 1, real=True)
         needs_size = self.window == "all" or self.phase_mode is PhaseMode.STATIC
         if needs_size and self.input_size is None:
@@ -215,18 +217,14 @@ def stage_resolutions(cfg: ArchConfig, h: int, w: int) -> list[tuple[int, int]]:
     return out
 
 
-def _stage_windows(cfg: ArchConfig) -> list[int]:
-    if cfg.window != "all":
-        return [int(cfg.window)] * 4
-    res = stage_resolutions(cfg, *cfg.input_size)
-    return [2 * max(hh, ww) - 1 for hh, ww in res]
-
-
-def _static_sizes(cfg: ArchConfig) -> list:
-    """Per-stage phase-grid size for the STATIC mode, else None per stage."""
-    if cfg.phase_mode is PhaseMode.STATIC:
-        return stage_resolutions(cfg, *cfg.input_size)
-    return [None] * 4
+def _stage_plan(cfg: ArchConfig) -> list[tuple[StageSpec, int, int, int, tuple[int, int] | None]]:
+    """(spec, patch size, input channels, mixing window, STATIC phase grid or None) per
+    stage: what ``build`` draws and ``_tally`` counts, from the config alone."""
+    grids = stage_resolutions(cfg, *cfg.input_size) if cfg.input_size else [None] * 4
+    c_ins = [cfg.input_channels] + [s.dim for s in cfg.stages[:-1]]
+    windows = [cfg.window if cfg.window != "all" else 2 * max(grid) - 1 for grid in grids]
+    static = grids if cfg.phase_mode is PhaseMode.STATIC else [None] * 4
+    return list(zip(cfg.stages, cfg.patch_sizes, c_ins, windows, static))
 
 
 @dataclass
@@ -243,7 +241,7 @@ class ModelParams:
     @property
     def windows(self) -> list[int]:
         """Mixing window per stage, from the config (each block's ``wt.shape[0]``)."""
-        return _stage_windows(self.config)
+        return [window for _, _, _, window, _ in _stage_plan(self.config)]
 
 
 def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
@@ -264,19 +262,16 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
             t.data = t.data.astype(dtype)
         return node
 
-    windows = _stage_windows(cfg)
-    static_res = _static_sizes(cfg)
     stems: list[StemParams] = []
     stages: list[list[BlockParams]] = []
-    c_in = cfg.input_channels
-    for i, spec in enumerate(cfg.stages):
-        stems.append(cast(init_stem(cfg.patch_sizes[i], c_in, spec.dim, rng)))
+    for spec, p, c_in, window, grid in _stage_plan(cfg):  # draw order: each stem, then its blocks
+        stems.append(cast(init_stem(p, c_in, spec.dim, rng)))
         stages.append([
-            cast(init_block(spec.dim, spec.expansion, windows[i], cfg.phase_mode, rng, static_res[i]))
+            cast(init_block(spec.dim, spec.expansion, window, cfg.phase_mode, rng, grid))
             for _ in range(spec.depth)
         ])
-        c_in = spec.dim
-    final_norm, head = _norm_params(c_in), _uniform(rng, (cfg.num_classes, c_in), c_in)
+    d = cfg.stages[-1].dim
+    final_norm, head = _norm_params(d), _uniform(rng, (cfg.num_classes, d), d)
     head_bias = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
     return ModelParams(cfg, stems, stages, *cast([final_norm, head, head_bias]))
 
@@ -371,21 +366,17 @@ def _tally(cfg: ArchConfig, h: int, w: int) -> tuple[int, int]:
     static phase grids and the head bias are parameters without MACs.
     """
     params = macs = 0
-    c_in = cfg.input_channels
-    tokens = stage_resolutions(cfg, h, w)
-    stages = zip(cfg.stages, cfg.patch_sizes, tokens, _stage_windows(cfg), _static_sizes(cfg))
-    for spec, p, (h, w), window, static in stages:
+    for (spec, p, c_in, window, grid), (h, w) in zip(_stage_plan(cfg), stage_resolutions(cfg, h, w)):
         d = spec.dim
         theta = {PhaseMode.CHANNEL_FC: d * d, PhaseMode.DEPTHWISE: DEPTHWISE_KERNEL * d}
         per_patm = 2 * d * d + 2 * window * d + theta.get(cfg.phase_mode, 0)  # wc, wout, wt, wi
         weights = 2 * per_patm + d * d + 2 * spec.expansion * d * d  # two axes, branch, MLP
-        grids = 2 * static[0] * static[1] * d if static else 0
+        grids = 2 * grid[0] * grid[1] * d if grid else 0
         stem = p * p * c_in * d
         params += stem + spec.depth * (weights + grids + 4 * d)  # + two norms per block
         macs += h * w * (stem + spec.depth * weights)
-        c_in = d
-    params += 2 * c_in + cfg.num_classes * (c_in + 1)  # final norm, head and bias
-    macs += cfg.num_classes * c_in
+    params += 2 * d + cfg.num_classes * (d + 1)  # final norm, head and bias, at the last dim
+    macs += cfg.num_classes * d
     return params, macs
 
 

@@ -203,8 +203,8 @@ def train(
     the finite range; numpy's overflow and invalid-value warnings are
     silenced, since that error is the report.
     """
+    model = build(arch, seed=tc.seed, dtype=_DTYPES[tc.precision])  # a bad config fails before any draw
     x_train, y_train, x_val, y_val = make_dataset(task)
-    model = build(arch, seed=tc.seed, dtype=_DTYPES[tc.precision])
     names, params = zip(*iter_params(model))
     raw = [t.data for t in params]
     state = adamw_init(raw)

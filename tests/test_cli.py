@@ -253,8 +253,14 @@ def test_a_seed_too_large_for_a_float_is_a_typed_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "check-grads"])
-def test_a_config_too_large_for_memory_is_a_typed_error(tmp_path, capsys, command):
-    """Stage dims of 10**7 make 5.6e15 parameters: one error line, not numpy's allocation error."""
+def test_a_config_too_large_for_memory_is_a_typed_error(tmp_path, capsys, monkeypatch, command):
+    """Stage dims of 10**7 make 5.6e15 parameters: one error line, not numpy's allocation
+    error, and ``train`` refuses the config before it draws the dataset."""
+
+    def no_draw(task):
+        raise AssertionError("the dataset was drawn before the config was checked")
+
+    monkeypatch.setattr(importlib.import_module("wavemlp.train"), "make_dataset", no_draw)
     doc = arch_config_to_dict(preset("tiny"))
     for k, stage in enumerate(doc["stages"]):
         stage["dim"] = 10**7 + k

@@ -279,8 +279,8 @@ def _built_size(m) -> int:
 
 
 def _macs_by_term(m, h: int, w: int) -> int:
-    """MACs summed term by term over a built model's windows, independently
-    of the closed form in ``count_flops``."""
+    """MACs summed term by term over a built model's weights, independently
+    of the closed form in ``count_flops`` and of the stage plan it reads."""
     cfg = m.config
     total, c_in = 0, cfg.input_channels
     for i, spec in enumerate(cfg.stages):
@@ -288,7 +288,8 @@ def _macs_by_term(m, h: int, w: int) -> int:
         h, w = -(-h // p), -(-w // p)  # exact: a float ceil loses ints past 2**53
         n, d = h * w, spec.dim
         total += n * (p * p * c_in) * d  # stem projection
-        per_patm = 2 * n * d * d + 2 * m.windows[i] * n * d  # wc, wout, mixing
+        window = m.stages[i][0].patm_h.wt.shape[0]  # every stage has a block
+        per_patm = 2 * n * d * d + 2 * window * n * d  # wc, wout, mixing
         if cfg.phase_mode is PhaseMode.CHANNEL_FC:
             per_patm += n * d * d
         elif cfg.phase_mode is PhaseMode.DEPTHWISE:
@@ -348,7 +349,12 @@ def _small_configs(draw):
     needs_size = window == "all" or mode is PhaseMode.STATIC
     size = draw(sizes if needs_size else st.none() | sizes)
     classes = draw(st.integers(2, 5))
-    return ArchConfig(stages, window=window, phase_mode=mode, num_classes=classes, input_size=size)
+    patches = draw(st.tuples(*[st.integers(1, 4)] * 4))
+    channels = draw(st.integers(1, 3))
+    return ArchConfig(
+        stages, window=window, phase_mode=mode, patch_sizes=patches, num_classes=classes,
+        input_channels=channels, input_size=size,
+    )
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -599,6 +605,9 @@ def test_json_roundtrip(tmp_path):
     # dict and JSON-text sources too
     assert arch_config_to_dict(load_arch_config(doc)) == doc
     assert arch_config_to_dict(load_arch_config(json.dumps(doc))) == doc
+    # a numpy int is kept as the Python int it was checked as, so the document stays JSON
+    doc = arch_config_to_dict(preset("tiny", window=np.int64(7)))
+    assert load_arch_config(json.dumps(doc)) == cfg
 
 
 @pytest.mark.parametrize(
