@@ -55,7 +55,7 @@ def _number(name: str, value, lo, hi=math.inf, n: int = 0, real: bool = False, e
     number when ``real``, whose float() lies in [lo, hi), else ``error`` naming the setting.
     A bool is neither; nan, infinities and ints too large for a float lie outside, and
     ``lo=math.ulp(0.0)``, the least positive float, asks for > 0. Returns a tuple when
-    n > 0, each int as a Python int and each real as given."""
+    n > 0, each int as a Python int and each real as a Python float."""
     kind, word = (numbers.Real, "real number") if real else ((int, np.integer), "int")
     values = value if n else [value]
     ok = isinstance(values, (list, tuple)) and len(values) == max(n, 1)
@@ -67,5 +67,5 @@ def _number(name: str, value, lo, hi=math.inf, n: int = 0, real: bool = False, e
         raise error(f"{name} must fit in a float") from None
     if not inside:
         raise error(f"{name} must be in [{lo}, {hi}), got {_shown(value)}")
-    values = tuple(values) if real else tuple(map(int, values))
+    values = tuple(map(float if real else int, values))
     return values if n else values[0]

@@ -100,7 +100,7 @@ class ArchConfig:
             self.window = _number("window", self.window, 1)
             if self.window % 2 == 0:
                 raise ConfigurationError(f"window must be odd or 'all', got {self.window}")
-        _number("dropout", self.dropout, 0, 1, real=True)
+        self.dropout = _number("dropout", self.dropout, 0, 1, real=True)
         needs_size = self.window == "all" or self.phase_mode is PhaseMode.STATIC
         if needs_size and self.input_size is None:
             raise ConfigurationError(
@@ -279,13 +279,13 @@ def build(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
 def iter_params(node, prefix: str = "") -> list[tuple[str, Tensor]]:
     """(name, tensor) pairs of every learnable under a params node, in field order.
 
-    ``node`` is a ``ModelParams``, ``BlockParams``, ``PatmParams``,
-    ``StemParams`` or ``NormParams``. Names are field paths such as
-    ``stems.0.weight``, ``stages.2.0.patm_h.wc`` or ``head_bias``: a list
-    contributes its index, a dataclass its field names. Anything that is not
-    a Tensor, list or dataclass (a config, a mode, a patch size, a
-    missing ``wtheta``) holds no learnables. The order is fixed (stems,
-    stages, final norm, head, bias for a model); the optimizer relies on it.
+    ``node`` is a ``ModelParams``, ``BlockParams``, ``PatmParams``, ``StemParams`` or
+    ``NormParams``. Names are field paths such as ``stems.0.weight``,
+    ``stages.2.0.patm_h.wc`` or ``head_bias``: a list contributes its index, a dataclass its
+    field names. Every list and dataclass is entered, the ``ArchConfig`` under ``config``
+    too, which holds no learnable; nor does anything else (a mode, a patch size, a missing
+    ``wtheta``). The order is fixed (stems, stages, final norm, head, bias for a model); the
+    optimizer relies on it.
     """
     if isinstance(node, Tensor):
         return [(prefix, node)]

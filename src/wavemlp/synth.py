@@ -39,11 +39,12 @@ class SynthTask:
         h, w, c = self.grid = _number("grid", self.grid, 1, n=3)
         if h % CELL or w % CELL or h < 2 * CELL or w < 2 * CELL:
             raise ConfigurationError(f"grid {self.grid} must be multiples of {CELL}, >= {2*CELL}")
-        if _number("num_classes", self.num_classes, 2) not in (2, 4):
+        self.num_classes = _number("num_classes", self.num_classes, 2)
+        if self.num_classes not in (2, 4):
             raise ConfigurationError("synthetic tasks support 2 or 4 classes")
-        _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
-        _number("train_size", self.train_size, 1)
-        _number("val_size", self.val_size, 1)
+        self.seed = _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
+        self.train_size = _number("train_size", self.train_size, 1)
+        self.val_size = _number("val_size", self.val_size, 1)
 
 
 def _stripe_patterns(c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -124,26 +124,26 @@ class Tape:
 
     A record is a tuple of input uids (None where no gradient is needed), the
     output uid and the backward closure, and it holds arrays, never a Tensor:
-    an op binds the arrays and ``requires_grad`` flags its backward reads
-    when it runs, so what a record computes is fixed when it is taped. The
-    tape keeps the leaves, inputs that need a gradient and that no record
-    produced, in first-taped order; it sets a leaf's ``.grad`` to None when
-    it first records it, so a ``.grad`` lasts until a new tape records its
-    leaf (``model.forward`` drops every parameter's at once before it
-    runs). ``backward`` seeds the scalar loss with gradient 1 and pops the
-    records in reverse, freeing each and the gradients it consumed before
+    an op binds the arrays and ``requires_grad`` flags its backward reads when
+    it runs, so what a record computes is fixed when it is taped. The tape
+    keeps the leaves, inputs that need a gradient and that no record produced,
+    in first-taped order; recording writes no Tensor. ``backward`` assigns
+    ``.grad`` and the owner of a leaf releases it: ``model.forward`` under a
+    tape sets every parameter's to None before its stem runs, ``grad_check``
+    its inputs'. ``backward`` seeds the scalar loss with gradient 1 and pops
+    the records in reverse, freeing each and the gradients it consumed before
     the next runs; an op output's gradients are summed as they arrive. A
     backward closure may return an input's gradient as a zero-argument
     callable (``linear``'s dw for few tokens), run when it is folded. A leaf
-    keeps its contributions in replay order until the walk ends; then one
-    pass folds each leaf's in that order, copies the sum if it is read-only
-    or another leaf's, and assigns ``.grad`` once on every leaf, the loss
+    keeps its contributions in replay order until the walk ends; then one pass
+    folds each leaf's in that order, copies the sum if it is read-only or
+    another leaf's, and assigns ``.grad`` once on every leaf, the loss
     included when it is one, so every sum is the one an eager walk takes.
     Leaves that do not influence the loss receive a zero gradient. Each
-    ``.grad`` is a writeable array of the leaf's dtype, sharing no memory
-    with another leaf's, so it may be modified in place. A tape is
-    single-use: after ``backward`` it holds nothing, and a second
-    ``backward`` or record raises ``ContractError``.
+    ``.grad`` is a writeable array of the leaf's dtype, sharing no memory with
+    another leaf's, so it may be modified in place. A tape is single-use:
+    after ``backward`` it holds nothing, and a second ``backward`` or record
+    raises ``ContractError``.
 
     Backward closures hold references to input arrays, not copies: call
     ``backward`` before mutating any participating ``.data`` in place (the
@@ -171,9 +171,8 @@ class Tape:
         if self._spent:
             raise ContractError("this tape has been replayed; record on a new Tape")
         for t in inputs:
-            if t.requires_grad and t.uid not in self._produced and t.uid not in self._leaves:
-                self._leaves[t.uid] = t  # a re-taped leaf keeps its first place
-                t.grad = None  # do not hold the last step's gradient while this tape grows
+            if t.requires_grad and t.uid not in self._produced:
+                self._leaves.setdefault(t.uid, t)  # a re-taped leaf keeps its first place
         self._produced.add(output.uid)
         uids = tuple(t.uid if t.requires_grad else None for t in inputs)
         self._records.append((uids, output.uid, backward))

@@ -50,13 +50,13 @@ class TrainConfig:
     precision: str = "f64"
 
     def __post_init__(self):
-        _number("epochs", self.epochs, 1)
-        _number("batch_size", self.batch_size, 1)
-        _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
-        _number("lr", self.lr, 0, real=True)  # lr == 0 is the standard no-op training diagnostic
-        _number("weight_decay", self.weight_decay, 0, real=True)
+        self.epochs = _number("epochs", self.epochs, 1)
+        self.batch_size = _number("batch_size", self.batch_size, 1)
+        self.seed = _number("seed", self.seed, 0)  # numpy seeds its generators from ints >= 0
+        self.lr = _number("lr", self.lr, 0, real=True)  # lr == 0 is the usual no-op training diagnostic
+        self.weight_decay = _number("weight_decay", self.weight_decay, 0, real=True)
         self.betas = _number("betas", self.betas, 0, 1, n=2, real=True)
-        _number("eps", self.eps, math.ulp(0.0), real=True)  # eps > 0
+        self.eps = _number("eps", self.eps, math.ulp(0.0), real=True)  # eps > 0
         if not (isinstance(self.schedule, str) and self.schedule == "cosine"):
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
         if not (isinstance(self.precision, str) and self.precision in _DTYPES):

@@ -605,9 +605,12 @@ def test_json_roundtrip(tmp_path):
     # dict and JSON-text sources too
     assert arch_config_to_dict(load_arch_config(doc)) == doc
     assert arch_config_to_dict(load_arch_config(json.dumps(doc))) == doc
-    # a numpy int is kept as the Python int it was checked as, so the document stays JSON
+    # a numpy number is kept as the Python int or float it was checked as, so the document stays JSON
     doc = arch_config_to_dict(preset("tiny", window=np.int64(7)))
     assert load_arch_config(json.dumps(doc)) == cfg
+    doc = arch_config_to_dict(preset("tiny", dropout=np.float32(0.1)))
+    assert type(doc["dropout"]) is float
+    assert load_arch_config(json.dumps(doc)) == preset("tiny", dropout=float(np.float32(0.1)))
 
 
 @pytest.mark.parametrize(

@@ -956,9 +956,11 @@ def test_broadcast_0d_leaf_gets_an_owned_0d_array(dtype):
     npt.assert_array_equal(s.grad, 2.5)  # the mean of x
 
 
-def test_backward_releases_each_leafs_previous_grad_before_the_walk():
+def test_taping_keeps_a_leafs_stale_grad_until_the_leaf_pass_replaces_it():
+    """Recording writes no Tensor: a stale .grad survives taping and the walk, and the leaf
+    pass then assigns a new array the leaf owns."""
     x = Tensor(np.ones(3), requires_grad=True)
-    x.grad = np.full(3, 7.0)  # a stale gradient from an earlier step
+    stale = x.grad = np.full(3, 7.0)  # a gradient from an earlier step
     seen = []
 
     def probe(a):  # an identity op whose backward reports the leaf's .grad
@@ -970,25 +972,14 @@ def test_backward_releases_each_leafs_previous_grad_before_the_walk():
 
     with Tape() as tape:
         loss = T.reduce_sum(probe(x))
-    assert x.grad is None  # released when the tape first recorded x
+    assert x.grad is stale
     tape.backward(loss)
     with pytest.raises(ContractError):
         tape.backward(loss)  # a tape replays once
-    assert [g is None for g in seen] == [True]
+    assert len(seen) == 1 and seen[0] is stale
+    assert x.grad is not stale and not np.shares_memory(x.grad, stale)
     npt.assert_array_equal(x.grad, np.ones(3))
-
-
-def test_a_step_releases_the_last_steps_grad_during_its_forward():
-    w = Tensor(np.ones(3), requires_grad=True)
-    with Tape() as tape:
-        loss = T.reduce_sum(T.mul(w, w))
-    tape.backward(loss)
-    stale = weakref.ref(w.grad)
-    with Tape() as tape:
-        loss = T.reduce_sum(T.mul(w, w))
-        assert stale() is None  # gone before this step's backward
-    tape.backward(loss)
-    npt.assert_array_equal(w.grad, 2.0 * w.data)
+    npt.assert_array_equal(stale, 7.0)
 
 
 def test_backward_frees_a_later_record_before_it_replays_an_earlier_one():
@@ -1174,14 +1165,19 @@ _RECORDED_OPS = {  # every taped op: _OPS, plus linear with each prologue
 @given(needs=st.lists(st.booleans(), min_size=4, max_size=4), dtype=st.sampled_from(_DTYPES))
 def test_no_record_reaches_a_tensor(name, needs, dtype):
     """A record holds arrays, never a Tensor: walking it, its closure included, finds none,
-    whichever inputs need a gradient, so what it computes is fixed when it is taped."""
+    whichever inputs need a gradient, so what it computes is fixed when it is taped. Nor
+    does recording write one: each input's .grad is the object it held before."""
     op, shapes = _RECORDED_OPS[name]
     needs = needs[: len(shapes)]
     arrays = [_rng(i).normal(size=s).astype(dtype) for i, s in enumerate(shapes)]
     inputs = [Tensor(a, g) for a, g in zip(arrays, needs)]
+    sentinels = [np.full(t.shape, 7.0, t.dtype) for t in inputs]
+    for t, g in zip(inputs, sentinels):
+        t.grad = g
     with Tape() as tape:
         op(*inputs)
     assert len(tape) == any(needs)
+    assert all(t.grad is g for t, g in zip(inputs, sentinels)), name
     for record in tape._records:
         assert not [o for o in _reachable(record) if isinstance(o, Tensor)], name
 
@@ -1254,16 +1250,19 @@ def test_an_op_mixing_float32_and_float64_is_refused_and_tapes_nothing(case):
     ts = [Tensor(a.astype(d), requires_grad=True) for a, d in zip(arrays, dtypes)]
     stale = [np.full(t.shape, 7.0, t.dtype) for t in ts]
     for t, g in zip(ts, stale):
-        t.grad = g  # a recorded leaf would drop it
+        t.grad = g  # the walk assigns every registered leaf, so a registered input loses it
     with Tape() as tape:
         T.gelu(Tensor(np.ones(2), requires_grad=True))
         with pytest.raises(ContractError, match="one dtype per graph"):
             op(*ts)
         assert len(tape) == 1
-        assert all(t.grad is g for t, g in zip(ts, stale))
         same = [Tensor(a.astype(dtypes[0]), requires_grad=True) for a in arrays]
         out = op(*same)
-    assert len(tape) == 2 and out.dtype == dtypes[0]
+        assert len(tape) == 2 and out.dtype == dtypes[0]
+        loss = T.reduce_sum(out)
+    tape.backward(loss)
+    assert all(t.grad is g for t, g in zip(ts, stale))
+    assert all(t.grad is not None for t in same)
 
 
 @pytest.mark.parametrize(

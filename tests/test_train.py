@@ -374,8 +374,15 @@ def test_configs_refuse_wrong_typed_settings(cls, changes, match):
 
 
 def test_configs_take_numpy_real_numbers():
-    assert TrainConfig(lr=np.float32(0.5), eps=1, betas=(0, np.float64(0.5))).lr == np.float32(0.5)
-    assert ArchConfig(preset("tiny").stages, dropout=np.float32(0.25)).dropout == 0.25
+    """Each number setting keeps the Python int or float it was checked as."""
+    tc = TrainConfig(lr=np.float32(3e-3), eps=1, betas=(0, np.float64(0.5)), epochs=np.int64(2))
+    assert tc.lr == float(np.float32(3e-3)) and tc.eps == 1.0 and tc.betas == (0.0, 0.5)
+    assert all(type(v) is float for v in (tc.lr, tc.weight_decay, tc.eps, *tc.betas))
+    assert type(tc.epochs) is int and type(cosine_lr(1, 4, tc.lr)) is float
+    dropout = ArchConfig(preset("tiny").stages, dropout=np.float32(0.25)).dropout
+    assert dropout == 0.25 and type(dropout) is float
+    task = SynthTask(num_classes=np.int64(2), seed=np.int64(1), train_size=np.int64(8), val_size=np.int64(4))
+    assert all(type(v) is int for v in (task.num_classes, task.seed, task.train_size, task.val_size))
     stages = [StageSpec(2**20 * k, 1, 4) for k in (1, 2, 3, 4)]  # MACs past int64 at 2**20
     numpy_stages = [StageSpec(*map(np.int64, (s.dim, s.depth, s.expansion))) for s in stages]
     numpy_cfg = ArchConfig(numpy_stages, patch_sizes=tuple(map(np.int64, (4, 2, 2, 2))))
